@@ -16,11 +16,14 @@ Per-arm evidence is summarised by power-weighted statistics
 which are sufficient for (mu_k, sigma_k^2): conditioned on the powers,
 ``xbar ~ N(mu, sigma^2/(2 z) I_2)`` and ``2 S / sigma^2`` is chi-square with
 ``2 (t - 1)`` degrees of freedom, independent of ``xbar`` (t = number of
-positive-power observations).  :class:`ArmStats` maintains them with a
-weighted incremental update; :func:`batch_stats` recomputes them from the
-raw history and is kept as a cross-check oracle.
+positive-power observations).  :class:`ArmStats` maintains them for one arm
+with a weighted incremental update; the policies apply the same update to
+all arms at once in arrays (:class:`spreadbandits.policies.PolicyState`),
+with ArmStats as its scalar reference.  :func:`batch_stats` recomputes them
+from the raw history and is kept as a cross-check oracle.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +87,12 @@ class BanditInstance:
                 f"variances must have length {K}, got shape {variances.shape}")
         if not np.all(np.isfinite(variances)) or np.any(variances <= 0.0):
             raise NonPositiveVariance("variances must be finite and > 0")
-        norms = np.sqrt((means * means).sum(axis=1))
+        with np.errstate(over="ignore"):  # caught just below
+            norms = np.sqrt((means * means).sum(axis=1))
+        if not np.all(np.isfinite(norms)):
+            raise DimensionMismatch("mean norms must be finite (overflow)")
         order = np.argsort(norms)
-        if norms[order[-1]] - norms[order[-2]] <= NORM_TIE_TOL:
+        if not norms[order[-1]] - norms[order[-2]] > NORM_TIE_TOL:
             raise TiedOptimum(
                 f"largest mean norms tie within {NORM_TIE_TOL}: "
                 f"arms {order[-1]} and {order[-2]}")
@@ -157,6 +163,27 @@ class Outcome:
         return len(self.values)
 
 
+def _draw(means, variances, p, rng: np.random.Generator) -> np.ndarray:
+    """Observations of arms with powers ``p > 0``, one row per arm.
+
+    Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * g`` with ``g``
+    standard 2-d normal.  Unvalidated: the round engine's dense path and
+    the core of :func:`sample_outcome`.
+    """
+    noise = rng.normal(size=(p.shape[0], DIM))
+    return means + np.sqrt(variances / (2.0 * p))[:, None] * noise
+
+
+def _draw_arm(mx: float, my: float, var: float,
+              rng: np.random.Generator) -> tuple:
+    """:func:`_draw` for one arm at full power, in Python floats: the round
+    engine's one-hot path (same stream and arithmetic as a one-row
+    :func:`_draw` with ``p = 1``)."""
+    (g0, g1), = rng.normal(size=(1, DIM)).tolist()
+    sd = math.sqrt(var / 2.0)
+    return mx + sd * g0, my + sd * g1
+
+
 def sample_outcome(instance: BanditInstance, profile: PowerProfile,
                    rng: np.random.Generator) -> Outcome:
     """Draw one round of observations under ``profile``.
@@ -170,10 +197,9 @@ def sample_outcome(instance: BanditInstance, profile: PowerProfile,
         raise DimensionMismatch(
             f"profile has {p.shape[0]} entries for {K} arms")
     active = np.flatnonzero(p > 0.0)
-    noise = rng.normal(size=(active.shape[0], DIM))
-    scale = np.sqrt(instance.variances[active] / (2.0 * p[active]))
+    obs = _draw(instance.means[active], instance.variances[active], p[active],
+                rng)
     values = [None] * K
-    obs = instance.means[active] + scale[:, None] * noise
     for i, k in enumerate(active):
         values[k] = obs[i]
     return Outcome(values)

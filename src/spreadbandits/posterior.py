@@ -19,6 +19,7 @@ uniform(0,1),
 each arm has the largest mean norm, by Monte Carlo over joint draws.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,32 +117,60 @@ def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
     return out[0] if size is None else out
 
 
-def _rho_counts(z, S, t, xbar, M: int,
-                rng: np.random.Generator) -> np.ndarray:
+def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
+                draws: np.ndarray | None = None) -> np.ndarray:
     """Count argmax-norm wins over M joint posterior draws (array kernel).
 
-    ``z``, ``S``, ``t`` are length-K vectors (or scalars broadcasting over
-    K), ``xbar`` is (K, 2).  Runs in single precision: the Monte Carlo error
-    of order 1/sqrt(M) dominates float32 roundoff by many orders of
+    ``z`` and ``S`` are length-K vectors, ``t`` a scalar or a length-K
+    vector, ``xbar`` is (K, 2).  Runs in single precision: the Monte Carlo
+    error of order 1/sqrt(M) dominates float32 roundoff by many orders of
     magnitude, and the narrower dtype roughly halves the cost of the
     per-round sampling that dominates long simulations.
+
+    Before any square or float32 cast, ``xbar`` is multiplied by one power
+    of two ``f`` that brings the largest of ``|xbar_k|`` and ``sqrt(S_k /
+    z_k)`` into [1/2, 1), and ``S / z`` by ``f^2``.  A power of two is exact
+    and the argmax does not change under a common scale, so the counts are
+    the same at every scale where ``S / z`` is finite, and float32 neither
+    overflows nor underflows.
+
+    ``draws``, a float32 (2, K, M) array, is scratch space a caller may
+    reuse across calls; it is overwritten.
     """
     K = xbar.shape[0]
-    # scalar z/S/t broadcast over arms; (1, 1) against (K, M) below
-    scale = np.asarray(S / z, dtype=np.float32).reshape(-1, 1)
+    ratio = S / z
+    r = ratio.max()
+    big = max(np.abs(xbar).max(), math.sqrt(r) if r > 0.0 else 0.0)
+    e = math.frexp(big)[1]
+    if e:
+        f = math.ldexp(1.0, -e)
+        xbar = xbar * f
+        ratio = ratio * f * f
+    scale = ratio.astype(np.float32)[:, None]
+    # scalar t broadcasts over arms as (1, 1) against (K, M) below
     expo = np.asarray(-1.0 / (np.asarray(t, dtype=np.float64) - 3.0),
                       dtype=np.float32).reshape(-1, 1)
     b2 = (xbar * xbar).sum(axis=1).astype(np.float32)[:, None]
     b = np.sqrt(b2)
 
-    u = np.float32(1.0) - rng.random((K, M), dtype=np.float32)
-    v = rng.random((K, M), dtype=np.float32)
-    d2 = scale * np.expm1(expo * np.log(u))
-    d = np.sqrt(d2)
-    c = np.cos(np.float32(2.0 * np.pi) * v)
+    if draws is None:
+        draws = np.empty((2, K, M), dtype=np.float32)
+    # one call fills u, then v: the same stream as two (K, M) draws
+    rng.random(out=draws, dtype=np.float32)
+    u, c = draws
+    np.subtract(np.float32(1.0), u, out=u)
+    np.log(u, out=u)
+    u *= expo
+    np.expm1(u, out=u)
+    u *= scale
+    d2 = u
+    np.multiply(c, np.float32(2.0 * np.pi), out=c)
+    np.cos(c, out=c)
     # |xbar + d e|^2 = |xbar|^2 + 2 d (xbar . e) + d^2 with e a unit vector:
     # only the cosine of the angle between e and xbar enters the norm.
-    n2 = (2.0 * b) * d * c
+    n2 = np.sqrt(d2)
+    n2 *= 2.0 * b
+    n2 *= c
     n2 += b2
     n2 += d2
     winners = np.argmax(n2, axis=0)

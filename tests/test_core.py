@@ -70,6 +70,24 @@ class TestBanditInstance:
         with pytest.raises(DimensionMismatch):
             new_instance([[np.nan, 0.0], [2.0, 0.0]], [1.0, 1.0])
 
+    def test_overflowing_norm_rejected(self):
+        # |mu|^2 overflows float64: the norm would be inf and the gaps nan
+        with pytest.raises(DimensionMismatch):
+            new_instance([[1e200, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                         [1.0, 1.0, 1.0])
+
+    def test_overflowing_tie_rejected(self):
+        # two inf norms differ by nan, which must not slip past the tie guard
+        with pytest.raises(DimensionMismatch):
+            new_instance([[1e200, 0.0], [0.0, 1e200], [2.0, 0.0]],
+                         [1.0, 1.0, 1.0])
+
+    def test_large_finite_means_kept(self):
+        inst = new_instance([[3e150, 4e150], [1e150, 0.0]], [1.0, 1.0])
+        assert inst.k_star == 0
+        assert inst.norms[0] == pytest.approx(5e150)
+        assert np.all(np.isfinite(inst.gaps))
+
     def test_rotation_leaves_gaps_and_kstar(self):
         means = np.array([[2.0, 1.0], [-1.0, 0.5], [0.3, -1.7]])
         var = [1.0, 0.5, 2.0]

@@ -16,6 +16,7 @@ from spreadbandits import (
 from spreadbandits.core import ArmStats
 from spreadbandits.errors import (
     InsufficientData,
+    MissingObservation,
     ProfileMismatch,
     WrongKind,
 )
@@ -52,26 +53,29 @@ class TestMakePolicy:
         st = make_policy("wts", instance())
         assert st.round == 1
         assert st.n_arms == 4
-        assert all(a.z == 0.0 for a in st.per_arm)
+        assert st.z.shape == st.S.shape == (4,)
+        assert st.mean.shape == (4, 2)
+        assert not st.z.any() and not st.S.any() and not st.mean.any()
 
     def test_unknown_kind(self):
         with pytest.raises(WrongKind):
             make_policy("greedy", instance())
         with pytest.raises(WrongKind):
-            PolicyState("greedy", [ArmStats()])
+            PolicyState("greedy", 2)
 
     def test_information_boundaries(self):
         # ts_known sees variances, oracle sees the best arm, others neither
         inst = instance()
         assert np.array_equal(
-            make_policy("ts_known", inst).config["sigma2"], inst.variances)
-        assert make_policy("oracle", inst).config["k_star"] == inst.k_star
+            make_policy("ts_known", inst).sigma2, inst.variances)
+        assert make_policy("oracle", inst).k_star == inst.k_star
         for kind in ("wts", "ts_unknown", "uniform"):
-            cfg = make_policy(kind, inst).config
-            assert "sigma2" not in cfg and "k_star" not in cfg
+            st = make_policy(kind, inst)
+            assert st.sigma2 is None and st.k_star is None
 
     def test_mc_samples_recorded(self):
-        assert make_policy("wts", instance(), 256).config["mc_samples"] == 256
+        assert make_policy("wts", instance(), 256).mc_samples == 256
+        assert make_policy("uniform", instance()).mc_samples is None
 
 
 class TestWts:
@@ -105,8 +109,7 @@ class TestWts:
     def test_degenerate_stats_guard(self):
         # S = 0 cannot arise from the uniform warm-up, but a hand-built
         # state must fail loudly rather than emit NaN power
-        st = PolicyState("wts", [ArmStats() for _ in range(3)], round=4,
-                         config={"mc_samples": 16})
+        st = PolicyState("wts", 3, round=4, mc_samples=16)
         with pytest.raises(InsufficientData):
             wts_step(st, np.random.default_rng(0))
 
@@ -151,8 +154,7 @@ class TestTsBaselines:
 
     def test_underfed_state_rejected(self):
         # stats with too few one-hot observations cannot be sampled from
-        st = PolicyState("ts_unknown",
-                         [ArmStats() for _ in range(2)], round=7)
+        st = PolicyState("ts_unknown", 2, round=7)
         with pytest.raises(InsufficientData):
             ts_step(st, np.random.default_rng(0))
 
@@ -194,13 +196,38 @@ class TestObserve:
         prof = policy_step(st, rng)
         observe(st, prof, sample_outcome(inst, prof, rng))
         assert st.round == 2
-        assert all(a.z == pytest.approx(0.25) for a in st.per_arm)
+        np.testing.assert_array_equal(st.z, np.full(4, 0.25))
 
     def test_profile_length_checked(self):
         st = make_policy("uniform", instance())
         bad = PowerProfile.uniform(3)
         with pytest.raises(ProfileMismatch):
             observe(st, bad, Outcome([None] * 4))
+
+    @pytest.mark.parametrize("p", [[0.5, 0.0, 0.3, 0.2],
+                                   [0.1, 0.2, 0.3, 0.4],
+                                   [0.0, 1.0, 0.0, 0.0]])
+    def test_matches_arm_stats(self, p):
+        # each arm's statistics follow ArmStats.update bit for bit
+        inst = instance()
+        st = make_policy("uniform", inst)
+        ref = [ArmStats() for _ in range(4)]
+        prof = PowerProfile(np.array(p))
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            out = sample_outcome(inst, prof, rng)
+            observe(st, prof, out)
+            for k, a in enumerate(ref):
+                a.update(prof.p[k], out.values[k])
+        assert st.z.tolist() == [a.z for a in ref]
+        assert st.S.tolist() == [a.S for a in ref]
+        assert st.mean.tolist() == [[a.mean_x, a.mean_y] for a in ref]
+
+    def test_missing_observation_rejected(self):
+        st = make_policy("uniform", instance())
+        values = [np.zeros(2), None, np.zeros(2), np.zeros(2)]
+        with pytest.raises(MissingObservation):
+            observe(st, PowerProfile.uniform(4), Outcome(values))
 
     def test_outcome_length_checked(self):
         st = make_policy("uniform", instance())

@@ -16,6 +16,7 @@ from spreadbandits import (
     sample_posterior,
 )
 from spreadbandits.errors import InvalidParams, TooFewArms, ZeroSamples
+from spreadbandits.posterior import _rho_counts
 
 
 def params(z=1.0, xbar=(0.0, 0.0), S=1.0, t=4):
@@ -182,6 +183,46 @@ class TestEstimateRho:
     def test_single_arm_rejected(self):
         with pytest.raises(TooFewArms):
             estimate_rho([params()], 16, np.random.default_rng(0))
+
+
+class TestRhoKernelScale:
+    """The float32 kernel gives the same counts at any scale."""
+
+    @staticmethod
+    def stats(c=1.0):
+        # arm 1 is the clear winner: norms 1 and 3, posterior radius ~0.05
+        z = np.array([50.0, 50.0])
+        S = np.array([5.0, 5.0]) * c * c
+        xbar = np.array([[1.0, 0.0], [3.0, 0.0]]) * c
+        return z, S, xbar
+
+    def test_power_of_two_scaling_draw_for_draw(self):
+        rng = np.random.default_rng(31)
+        z = rng.random(4) * 20.0 + 5.0
+        S = z * (rng.random(4) + 0.3)
+        xbar = rng.normal(size=(4, 2))
+        t = np.array([9.0, 12.0, 30.0, 7.0])
+        ref = _rho_counts(z, S, t, xbar, 256, np.random.default_rng(5))
+        for k in range(-100, 101):
+            got = _rho_counts(z, S * 4.0 ** k, t, xbar * 2.0 ** k, 256,
+                              np.random.default_rng(5))
+            np.testing.assert_array_equal(got, ref, err_msg=f"k={k}")
+
+    @pytest.mark.parametrize("c", [1.0, 1e20, 1e-25])
+    def test_clear_winner_at_any_scale(self, c):
+        z, S, xbar = self.stats(c)
+        M = 1000
+        counts = _rho_counts(z, S, 51.0, xbar, M, np.random.default_rng(7))
+        assert counts.tolist() == [0, M]
+
+
+    def test_clear_winner_where_the_square_overflows(self):
+        # |xbar|^2 ~ 1e400 is beyond float64; the rescale comes first
+        z, S, xbar = self.stats()
+        M = 1000
+        counts = _rho_counts(z, S, 51.0, xbar * 1e200, M,
+                             np.random.default_rng(7))
+        assert counts.tolist() == [0, M]
 
 
 class TestOptimalityBelief:

@@ -187,15 +187,15 @@ class TestReplication:
         assert out.rows[-1].t == 40
 
     def test_error_context(self, tmp_path, monkeypatch):
-        from spreadbandits.policies import uniform_step
+        from spreadbandits.policies import _choose
 
         def boom(state, rng):
             if state.round == 3:
                 raise InsufficientData("stub failure")
-            return uniform_step(state)
+            return _choose(state, rng)
 
         cfg = sim_config(tmp_path, policies=("uniform",))
-        monkeypatch.setattr(runner_mod, "policy_step", boom)
+        monkeypatch.setattr(runner_mod, "_choose", boom)
         with pytest.raises(InsufficientData) as exc:
             run_replication(cfg, "uniform", 0)
         msg = str(exc.value)

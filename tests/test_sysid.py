@@ -202,28 +202,23 @@ class TestDft:
 
 
 class TestGainEstimate:
-    @staticmethod
-    def stats(z, x, y):
-        st = ArmStats()
-        st.update(z, np.array([x, y]))
-        return st
-
     def test_norm_of_heaviest_bin(self):
-        per = [self.stats(1.0, 0.0, 0.1), self.stats(3.0, 3.0, 4.0)]
-        est = gain_estimate(per, 17)
+        z = np.array([1.0, 3.0])
+        xbar = np.array([[0.0, 0.1], [3.0, 4.0]])
+        est = gain_estimate(z, xbar, 17)
         assert est.k_hat == 1
         assert est.beta_hat == pytest.approx(5.0)
         assert est.t == 17
 
     def test_lowest_index_wins_ties(self):
-        per = [self.stats(2.0, 1.0, 0.0), self.stats(2.0, 0.0, 2.0)]
-        assert gain_estimate(per, 4).k_hat == 0
+        xbar = np.array([[1.0, 0.0], [0.0, 2.0]])
+        assert gain_estimate(np.array([2.0, 2.0]), xbar, 4).k_hat == 0
 
     def test_no_data(self):
         with pytest.raises(NoData):
-            gain_estimate([ArmStats(), ArmStats()], 1)
+            gain_estimate(np.zeros(2), np.zeros((2, 2)), 1)
         with pytest.raises(NoData):
-            gain_estimate([], 0)
+            gain_estimate(np.zeros(0), np.zeros((0, 2)), 0)
 
     def test_noiseless_recovery(self):
         # nearly noiseless measurements pin beta_hat to the true peak gain
@@ -235,7 +230,9 @@ class TestGainEstimate:
             out = run_experiment(prob, prof, rng)
             for k in range(4):
                 per[k].update(prof.p[k], out.values[k])
-        est = gain_estimate(per, 10)
+        z = np.array([st.z for st in per])
+        xbar = np.array([st.xbar for st in per])
+        est = gain_estimate(z, xbar, 10)
         assert est.k_hat == prob.peak_bin
         assert abs(est.beta_hat - prob.peak_gain) < 1e-4
 

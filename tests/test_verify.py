@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from spreadbandits import rng as rng_streams
 from spreadbandits.verify import (
     CheckResult,
     all_passed,
     check_chi2_law,
+    check_rotation_invariance,
     run_verification,
 )
 
@@ -47,3 +49,19 @@ def test_corruption_localized():
     failing = {r.name for r in results if not r.passed}
     assert len(failing) == 1
     assert not all_passed(results)
+
+
+@pytest.mark.parametrize("seed", [8, 10, 11, 12])
+def test_rotation_invariance_at_rounding_level(seed):
+    # seeds whose deviations exceeded the former absolute 1e-12 tolerance
+    # while sitting at a few eps relative to the instance's conditioning;
+    # the stream is the one run_verification(seed) hands this check
+    rng = rng_streams.stream(seed, 1006)
+    assert check_rotation_invariance(rng).passed
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_rotation_invariance_detects_perturbed_mean(seed):
+    # a 1e-9 relative change of the best arm's mean is far above rounding
+    rng = rng_streams.stream(seed, 1006)
+    assert not check_rotation_invariance(rng, perturb=1e-9).passed
