@@ -16,7 +16,12 @@ uniform(0,1),
     delta = sqrt((S / z) (U^(-1/(t-3)) - 1)),   angle = 2 pi V.
 
 :func:`estimate_rho` turns a set of per-arm posteriors into the belief that
-each arm has the largest mean norm, by Monte Carlo over joint draws.
+each arm has the largest mean norm, by Monte Carlo over joint draws.  Its
+kernel, :func:`_rho_counts`, runs the same sampler in float32 on the
+uniforms ``rng.random(dtype=np.float32)`` would give, on every bit
+generator: for PCG64 it reads them from the raw 64-bit words, elsewhere
+from ``rng.integers``, and either way it leaves the generator in the same
+state as that draw.
 """
 
 import math
@@ -28,6 +33,13 @@ from .errors import InvalidParams, TooFewArms, ZeroSamples
 
 # belief coordinates must sum to one within this tolerance
 BELIEF_SUM_TOL = 1e-12
+
+# the Monte Carlo kernel's uniforms: u = m * 2^-24 for a 24-bit mantissa m,
+# 1 - u = (2^24 - m) * 2^-24 and 2 pi v = m * (fl32(2 pi) * 2^-24), all exact
+# scalings by a power of two
+_ONE_BITS = np.uint32(1 << 24)
+_U_SCALE = np.float32(2.0 ** -24)
+_V_SCALE = np.float32(2.0 * np.pi) * _U_SCALE
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +129,24 @@ def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
     return out[0] if size is None else out
 
 
+def _uniform_bits(rng: np.random.Generator, K: int, M: int) -> np.ndarray:
+    """The 2*K*M words behind ``rng.random((2, K, M), dtype=np.float32)``.
+
+    numpy's float32 uniform is ``(next_uint32 >> 8) * 2^-24``, so these
+    uint32 words, shifted right by 8, are its 24-bit mantissas in stream
+    order, and the generator ends in the state that draw leaves it in.
+    A PCG64 generator with no buffered half-word hands out each 64-bit
+    word as its low, then its high half, which on a little-endian machine
+    is ``random_raw`` viewed as uint32, at half the cost of the float fill.
+    Any other generator draws the same words through ``integers``.
+    """
+    bg = rng.bit_generator
+    if (type(bg) is np.random.PCG64 and np.little_endian
+            and not bg.state["has_uint32"]):
+        return bg.random_raw(K * M).view(np.uint32).reshape(2, K, M)
+    return rng.integers(0, 1 << 32, size=(2, K, M), dtype=np.uint32)
+
+
 def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
                 draws: np.ndarray | None = None) -> np.ndarray:
     """Count argmax-norm wins over M joint posterior draws (array kernel).
@@ -134,37 +164,54 @@ def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
     the same at every scale where ``S / z`` is finite, and float32 neither
     overflows nor underflows.
 
+    The uniforms are the 2*K*M float32 values of ``rng.random((2, K, M),
+    dtype=np.float32)``, u then v, on every bit generator, and the
+    generator is left as that call leaves it; :func:`_uniform_bits` takes
+    their 24-bit mantissas ``m`` from raw PCG64 words where it can.  ``1 -
+    u`` is formed as the integer ``2^24 - m`` and both halves are scaled by
+    a power of two (``2 pi`` folded into the v scale), so every value is
+    bit-equal to ``1 - u`` and ``2 pi v`` in float32.
+
+    Each draw's winner is the arm of largest norm, the lowest index on a
+    tie.  Wins are counted as the arms equal to the column maximum; when
+    those counts do not sum to M (a tie, or a NaN from non-finite input),
+    they come from ``argmax`` instead.
+
     ``draws``, a float32 (2, K, M) array, is scratch space a caller may
     reuse across calls; it is overwritten.
     """
     K = xbar.shape[0]
     ratio = S / z
-    r = ratio.max()
-    big = max(np.abs(xbar).max(), math.sqrt(r) if r > 0.0 else 0.0)
+    r = float(ratio.max())
+    big = max(float(np.abs(xbar).max()), math.sqrt(r) if r > 0.0 else 0.0)
     e = math.frexp(big)[1]
     if e:
         f = math.ldexp(1.0, -e)
         xbar = xbar * f
         ratio = ratio * f * f
     scale = ratio.astype(np.float32)[:, None]
-    # scalar t broadcasts over arms as (1, 1) against (K, M) below
-    expo = np.asarray(-1.0 / (np.asarray(t, dtype=np.float64) - 3.0),
-                      dtype=np.float32).reshape(-1, 1)
+    if np.ndim(t):
+        expo = (-1.0 / (np.asarray(t, dtype=np.float64) - 3.0)).astype(
+            np.float32)[:, None]
+    else:
+        expo = np.float32(-1.0 / (float(t) - 3.0))
     b2 = (xbar * xbar).sum(axis=1).astype(np.float32)[:, None]
     b = np.sqrt(b2)
 
     if draws is None:
         draws = np.empty((2, K, M), dtype=np.float32)
-    # one call fills u, then v: the same stream as two (K, M) draws
-    rng.random(out=draws, dtype=np.float32)
+    bits = _uniform_bits(rng, K, M)
+    bits >>= 8
+    np.subtract(_ONE_BITS, bits[0], out=bits[0])
+    np.copyto(draws, bits)
     u, c = draws
-    np.subtract(np.float32(1.0), u, out=u)
+    u *= _U_SCALE
+    c *= _V_SCALE
     np.log(u, out=u)
     u *= expo
     np.expm1(u, out=u)
     u *= scale
     d2 = u
-    np.multiply(c, np.float32(2.0 * np.pi), out=c)
     np.cos(c, out=c)
     # |xbar + d e|^2 = |xbar|^2 + 2 d (xbar . e) + d^2 with e a unit vector:
     # only the cosine of the angle between e and xbar enters the norm.
@@ -173,8 +220,11 @@ def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
     n2 *= c
     n2 += b2
     n2 += d2
-    winners = np.argmax(n2, axis=0)
-    return np.bincount(winners, minlength=K)
+    top = n2.max(axis=0)
+    counts = (n2 == top).sum(axis=1)
+    if counts.sum() != M:
+        counts = np.bincount(np.argmax(n2, axis=0), minlength=K)
+    return counts
 
 
 def estimate_rho(all_params, mc_samples: int,

@@ -168,18 +168,48 @@ def test_engine_matches_scalar_loop(kind, make_cfg, seed):
 def test_kernel_matches_reference_draw_for_draw(K, M):
     # one (2, K, M) draw into a reused buffer consumes the float32 stream
     # exactly as the two (K, M) draws of the reference did
+    _check_kernel(K, M, range(50), 1000, np.random.default_rng)
+
+
+def _generator(case, seed):
+    if case == "PCG64_half_word":
+        # an odd float32 draw leaves half of a 64-bit word buffered
+        gen = np.random.default_rng(seed)
+        gen.random(1, dtype=np.float32)
+        return gen
+    return np.random.Generator(getattr(np.random, case)(seed))
+
+
+@pytest.mark.parametrize("case", ["MT19937", "Philox", "SFC64",
+                                  "PCG64_half_word"])
+@pytest.mark.parametrize("K,M", [(5, 512), (3, 7)])
+def test_kernel_keeps_float32_stream_on_any_generator(case, K, M):
+    # the kernel's uniforms are rng.random(dtype=float32) on every bit
+    # generator, and it leaves the generator where that draw leaves it
+    _check_kernel(K, M, range(10), 2000, lambda seed: _generator(case, seed),
+                  per_arm_t=True)
+
+
+def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
     draws = np.empty((2, K, M), dtype=np.float32)
-    for seed in range(50):
-        gen = np.random.default_rng(1000 + seed)
+    for seed in seeds:
+        gen = np.random.default_rng(stats_seed + seed)
         z = gen.random(K) * 50.0 + 1.0
         S = z * (gen.random(K) + 0.1)
         xbar = gen.normal(size=(K, 2))
-        t = float(gen.integers(4, 5000))
-        want = reference_rho_counts(z, S, t, xbar, M,
-                                    np.random.default_rng(seed))
-        got = _rho_counts(z, S, t, xbar, M, np.random.default_rng(seed),
-                          draws)
-        np.testing.assert_array_equal(got, want)
+        if per_arm_t and seed % 2:
+            t = gen.integers(4, 60, size=K).astype(np.float64)
+        else:
+            t = float(gen.integers(4, 5000))
+        ref_rng = make_rng(seed)
+        rng = make_rng(seed)
+        want = reference_rho_counts(z, S, t, xbar, M, ref_rng)
+        got = _rho_counts(z, S, t, xbar, M, rng, draws)
+        np.testing.assert_array_equal(got, want, err_msg=f"seed={seed}")
+        # the float32 draw also reads a buffered half-word, float64 does not
+        np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
+                                      ref_rng.random(3, dtype=np.float32))
+        np.testing.assert_array_equal(rng.random(9), ref_rng.random(9))
 
 
 def _assert_batch_equal(state, powers, xs):

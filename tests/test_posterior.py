@@ -224,6 +224,68 @@ class TestRhoKernelScale:
                              np.random.default_rng(7))
         assert counts.tolist() == [0, M]
 
+    @pytest.mark.parametrize("xbar,want", [
+        ([[1.0, 0.0], [0.0, 1.0]], [1, 0]),
+        ([[0.5, 0.0], [0.0, 1.0], [-1.0, 0.0]], [0, 1, 0]),
+    ])
+    def test_every_draw_tied_goes_to_lowest_index(self, xbar, want):
+        # S/z is so small against |xbar|^2 that its float32 cast is 0, so
+        # d2 = 0 and the tied arms have equal norms in every draw
+        xbar = np.array(xbar)
+        K = xbar.shape[0]
+        z = np.ones(K)
+        S = np.full(K, 1e-60)
+        M = 500
+        counts = _rho_counts(z, S, 51.0, xbar, M, np.random.default_rng(3))
+        assert counts.tolist() == [M * w for w in want]
+
+
+class TestRhoLaw:
+    """The law of the belief is unchanged under ``means -> c means``,
+    ``S -> c^2 S`` and a rotation of every mean, at any scale."""
+
+    # four overlapping posteriors, so every arm wins a fair share
+    Z = np.array([20.0, 25.0, 30.0, 15.0])
+    S = Z * np.array([0.05, 0.08, 0.06, 0.04])
+    XBAR = np.array([[1.0, 0.2], [0.95, -0.4], [-0.7, 0.75], [0.3, 1.0]])
+    T = 40.0
+    M = 4096
+    SEEDS = range(20)
+
+    @staticmethod
+    def rotated(xbar, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return xbar @ np.array([[c, s], [-s, c]])
+
+    def cases(self):
+        for c in (1e-30, 1e-10, 3.7, 1e10, 1e30):
+            yield f"c={c:g}", self.S * c * c, self.XBAR * c
+        for angle in (0.3, 1.1, 2.9):
+            yield f"angle={angle}", self.S, self.rotated(self.XBAR, angle)
+
+    def counts(self, S, xbar, seed):
+        return _rho_counts(self.Z, S, self.T, xbar, self.M,
+                           np.random.default_rng(seed))
+
+    def test_same_draws_flip_only_near_ties(self):
+        # at a fixed seed only float32 rounding differs, which can flip a
+        # draw only where two norms agree to about 1e-7
+        for name, S, xbar in self.cases():
+            for seed in self.SEEDS:
+                ref = self.counts(self.S, self.XBAR, seed)
+                got = self.counts(S, xbar, seed)
+                moved = int(np.abs(got - ref).sum())
+                assert moved <= 0.005 * self.M, f"{name} seed={seed}"
+
+    def test_homogeneous_with_unit_scale(self):
+        # disjoint seeds: independent samples of the two laws
+        ref = sum(self.counts(self.S, self.XBAR, s) for s in self.SEEDS)
+        assert ref.min() > 0.05 * ref.sum()
+        for name, S, xbar in self.cases():
+            got = sum(self.counts(S, xbar, 1000 + s) for s in self.SEEDS)
+            p = scipy.stats.chi2_contingency(np.array([ref, got])).pvalue
+            assert p > 1e-3, f"{name}: p={p:.2e}, {ref} vs {got}"
+
 
 class TestOptimalityBelief:
     def test_probability_vector_enforced(self):
