@@ -53,6 +53,6 @@ print(f"\nwts measurement runs, T = {T}:")
 print("rep   bin   estimate    error")
 for rep in range(REPS):
     out = run_replication(cfg, "wts", rep)
-    row = out.rows[-1]
-    err = abs(row.beta_hat - problem.peak_gain)
-    print(f"{rep:>3}   {row.k_hat:>3}   {row.beta_hat:.4f}    {err:.4f}")
+    beta_hat, k_hat = out.beta_hat[-1], out.k_hat[-1]
+    err = abs(beta_hat - problem.peak_gain)
+    print(f"{rep:>3}   {k_hat:>3}   {beta_hat:.4f}    {err:.4f}")

@@ -46,15 +46,13 @@ header = "policy        " + "".join(f"  regret({t:>4d})" for t in CHECKPOINTS)
 print(header)
 final_z = None
 for kind in cfg.policies:
-    at = {t: [] for t in CHECKPOINTS}
+    at = []  # per replication, cumulative regret at the checkpoints
     for rep in range(REPS):
         out = run_replication(cfg, kind, rep)
-        for row in out.rows:
-            if row.t in at:
-                at[row.t].append(row.regret_cum)
+        at.append(out.regret_cum[np.isin(out.t, CHECKPOINTS)])
         if kind == "wts" and rep == 0:
             final_z = out.z_snapshots[T]
-    cells = "".join(f"  {np.mean(at[t]):12.2f}" for t in CHECKPOINTS)
+    cells = "".join(f"  {m:12.2f}" for m in np.mean(at, axis=0))
     print(f"{kind:<12}{cells}")
 
 print(f"\nwts per-arm cumulative power after {T} rounds "

@@ -46,6 +46,9 @@ DEFAULT_SEED = 0
 DEFAULT_OUT = "trace"
 DEFAULT_POLICIES = ("wts",)
 
+# smallest accepted value of each integer run field
+_RUN_MINIMA = {"T": 4, "replications": 1, "mc_samples": 1, "thin": 1}
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -90,6 +93,24 @@ class RunConfig:
             d["h_coeffs"] = self.h_coeffs.tolist()
             d["K"] = self.K
         return d
+
+
+def check_run_fields(fields: dict) -> None:
+    """Reject run fields that are not integers at or above their minimum.
+
+    ``parse_config`` and ``run`` both call this, so a config built in
+    Python meets the same rules as one read from a file.  Absent (``None``)
+    fields are skipped.
+    """
+    for key, low in _RUN_MINIMA.items():
+        val = fields.get(key)
+        if val is None:
+            continue
+        if not isinstance(val, (int, np.integer)):
+            raise ValidationError(
+                f"[run] {key}: expected an integer, got {val!r}")
+        if val < low:
+            raise ValidationError(f"[run] {key}: must be >= {low}, got {val}")
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -182,25 +203,10 @@ def parse_config(text: str) -> RunConfig:
             f"[run] mode: expected one of {', '.join(MODES)}, got {mode!r}")
 
     kw: dict = {"mode": mode}
-    if "T" in run:
-        kw["T"] = _parse_int("run", "T", run["T"])
-        if kw["T"] < 4:
-            raise ValidationError(f"[run] T: must be >= 4, got {kw['T']}")
-    if "replications" in run:
-        kw["replications"] = _parse_int("run", "replications",
-                                        run["replications"])
-        if kw["replications"] < 1:
-            raise ValidationError("[run] replications: must be >= 1")
-    if "seed" in run:
-        kw["seed"] = _parse_int("run", "seed", run["seed"])
-    if "mc_samples" in run:
-        kw["mc_samples"] = _parse_int("run", "mc_samples", run["mc_samples"])
-        if kw["mc_samples"] < 1:
-            raise ValidationError("[run] mc_samples: must be >= 1")
-    if "thin" in run:
-        kw["thin"] = _parse_int("run", "thin", run["thin"])
-        if kw["thin"] < 1:
-            raise ValidationError("[run] thin: must be >= 1")
+    for key in ("T", "replications", "seed", "mc_samples", "thin"):
+        if key in run:
+            kw[key] = _parse_int("run", key, run[key])
+    check_run_fields(kw)
     if "policies" in run:
         kw["policies"] = _parse_policies(run["policies"])
     if "out" in run:

@@ -13,13 +13,22 @@ traces without disturbing existing ones.
 (the two extra columns in gain mode), rows sorted by (policy, replication,
 t), floats at 17 significant digits, plus a ``<out>.json`` sidecar carrying
 the config echo, the instance's bound constants, and a per-policy horizon
-summary.
+summary.  Each file is written to a temporary file in the same directory
+and moved into place, so an interrupted run leaves the previous file or
+none, never a partial one.
+
+``RunReport.outputs[i]`` is a :class:`ReplicationOut` that carries its
+recorded rounds as columns, one array each: ``t``, ``regret_step``,
+``regret_cum`` and, in gain mode, ``beta_hat`` and ``k_hat``.  Its ``rows``
+property is a view derived from them, a list of :class:`TraceRow` built on
+each access; the runner itself never builds it.
 """
 
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -30,7 +39,7 @@ from . import rng as rng_streams
 # per-round API; the round loop does not call them, but they stay runner
 # attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
-from .config import RunConfig
+from .config import RunConfig, check_run_fields
 from .core import _draw, _draw_arm, new_instance, sample_outcome
 from .errors import BanditError, ValidationError
 from .policies import (
@@ -60,13 +69,37 @@ class TraceRow:
 
 @dataclass(frozen=True, eq=False)
 class ReplicationOut:
-    """Everything one task reports back."""
+    """Everything one task reports back.
+
+    The recorded rounds are columns with one entry per recorded round:
+    ``t`` and ``k_hat`` are int64, ``regret_step``, ``regret_cum`` and
+    ``beta_hat`` float64.  ``beta_hat`` and ``k_hat`` are ``None`` in
+    simulate mode.
+    """
 
     policy: str
     replication: int
-    rows: list
+    t: np.ndarray
+    regret_step: np.ndarray
+    regret_cum: np.ndarray
     final_cum: float
     z_snapshots: dict  # round -> per-arm cumulative power
+    beta_hat: np.ndarray | None = None
+    k_hat: np.ndarray | None = None
+
+    def columns(self) -> list:
+        """The recorded columns in CSV order, after policy and replication."""
+        cols = [self.t, self.regret_step, self.regret_cum]
+        if self.beta_hat is not None:
+            cols += [self.beta_hat, self.k_hat]
+        return cols
+
+    @property
+    def rows(self) -> list:
+        """The recorded rounds as :class:`TraceRow` objects, built on each
+        access from the columns."""
+        return [TraceRow(self.policy, self.replication, *vals)
+                for vals in zip(*(c.tolist() for c in self.columns()))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +145,7 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     mean_x, mean_y = means[:, 0].tolist(), means[:, 1].tolist()
     var, gap = variances.tolist(), gaps.tolist()
 
-    rows = []
+    ts, steps, cums, betas, k_hats = [], [], [], [], []
     snaps = {}
     cum = 0.0
     for t in range(1, T + 1):
@@ -130,40 +163,70 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
             state.round += 1
             cum += step
             if t % thin == 0 or t == T:
+                ts.append(t)
+                steps.append(step)
+                cums.append(cum)
                 if gain_mode:
                     est = gain_estimate(state.z, state.mean, t)
-                    rows.append(TraceRow(kind, replication, t, step, cum,
-                                         est.beta_hat, est.k_hat))
-                else:
-                    rows.append(TraceRow(kind, replication, t, step, cum))
+                    betas.append(est.beta_hat)
+                    k_hats.append(est.k_hat)
         except BanditError as exc:
             raise type(exc)(f"policy={kind} replication={replication} "
                             f"round={t}: {exc}") from exc
         if t in snap_at:
             snaps[t] = state.z.copy()
-    return ReplicationOut(kind, replication, rows, cum, snaps)
+    gain_cols = {}
+    if gain_mode:
+        gain_cols = {"beta_hat": np.array(betas, dtype=np.float64),
+                     "k_hat": np.array(k_hats, dtype=np.int64)}
+    return ReplicationOut(kind, replication,
+                          np.array(ts, dtype=np.int64),
+                          np.array(steps, dtype=np.float64),
+                          np.array(cums, dtype=np.float64),
+                          cum, snaps, **gain_cols)
 
 
 def _task(args) -> ReplicationOut:
     return run_replication(*args)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+@contextmanager
+def _replacing(path: str):
+    """Open ``path`` for writing so that it holds its old contents until
+    the new ones are complete.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` moves onto ``path`` only after the ``with`` block ends
+    without an exception; on any exception the temporary file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def _write_csv(path: str, rows, gain_mode: bool) -> None:
+def _write_csv(path: str, outputs, gain_mode: bool) -> None:
+    """Write the trace of ``outputs``, one block of rows per task, in order.
+
+    Each block comes from one ``%`` template with the task's policy and
+    replication in it; ``%.17g`` runs the same routine as
+    ``format(x, ".17g")``.
+    """
     header = "policy,replication,t,regret_step,regret_cum"
+    fields = ",%d,%.17g,%.17g"
     if gain_mode:
         header += ",beta_hat,k_hat"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fields += ",%.17g,%d"
+    with _replacing(path) as fh:
         fh.write(header + "\n")
-        for r in rows:
-            line = (f"{r.policy},{r.replication},{r.t},"
-                    f"{_fmt(r.regret_step)},{_fmt(r.regret_cum)}")
-            if gain_mode:
-                line += f",{_fmt(r.beta_hat)},{r.k_hat}"
-            fh.write(line + "\n")
+        for out in outputs:
+            fmt = f"{out.policy},{out.replication}{fields}\n"
+            cols = (c.tolist() for c in out.columns())
+            fh.write("".join(map(fmt.__mod__, zip(*cols))))
 
 
 def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
@@ -172,6 +235,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         raise ValidationError(f"run() handles simulate/gain, not {cfg.mode!r}")
     if cfg.T is None:
         raise ValidationError("run() needs a horizon T")
+    check_run_fields(vars(cfg))
     workers = max(1, int(workers))
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
@@ -186,9 +250,6 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         outputs = [_task(t) for t in tasks]
     outputs.sort(key=lambda o: (o.policy, o.replication))
 
-    rows = [row for out in outputs for row in out.rows]
-    gain_mode = cfg.mode == "gain"
-
     summary = {}
     for kind in sorted(cfg.policies):
         finals = np.array([o.final_cum for o in outputs if o.policy == kind])
@@ -201,7 +262,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         os.makedirs(out_dir, exist_ok=True)
     csv_path = cfg.out + ".csv"
     json_path = cfg.out + ".json"
-    _write_csv(csv_path, rows, gain_mode)
+    _write_csv(csv_path, outputs, cfg.mode == "gain")
 
     consts = lower_bound_constants(_build_instance(cfg))
     elapsed = time.perf_counter() - t0
@@ -217,12 +278,13 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         "started_at": started.isoformat(),
         "elapsed_s": elapsed,
     }
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(json_path) as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 
     if not quiet:
-        print(f"wrote {csv_path} ({len(rows)} rows) and {json_path}")
+        n_rows = sum(len(out.t) for out in outputs)
+        print(f"wrote {csv_path} ({n_rows} rows) and {json_path}")
         print(f"{'policy':<12} {'reps':>5} {'mean regret(T)':>16} "
               f"{'std':>12}")
         for kind, s in summary.items():

@@ -1,6 +1,7 @@
 """Runner determinism, trace file format, error context, parallel equality."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -213,3 +214,133 @@ class TestRunValidation:
         cfg = sim_config(tmp_path, T=None)
         with pytest.raises(ValidationError):
             run(cfg, quiet=True)
+
+    @pytest.mark.parametrize("field,value", [
+        ("T", 3), ("T", 0), ("replications", 0), ("mc_samples", 0),
+        ("thin", 0), ("thin", -1), ("thin", 2.5)])
+    def test_run_fields_checked_at_boundary(self, tmp_path, field, value):
+        cfg = sim_config(tmp_path, **{field: value})
+        with pytest.raises(ValidationError, match=field):
+            run(cfg, quiet=True)
+        assert not list(tmp_path.iterdir())
+
+
+def reference_write_csv(path, rows, gain_mode):
+    """The per-row writer the columnar one replaced, kept as its oracle."""
+    header = "policy,replication,t,regret_step,regret_cum"
+    if gain_mode:
+        header += ",beta_hat,k_hat"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for r in rows:
+            line = (f"{r.policy},{r.replication},{r.t},"
+                    f"{format(r.regret_step, '.17g')},"
+                    f"{format(r.regret_cum, '.17g')}")
+            if gain_mode:
+                line += f",{format(r.beta_hat, '.17g')},{r.k_hat}"
+            fh.write(line + "\n")
+
+
+AWKWARD = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+           123456789012345678.0, 1.7976931348623157e308, float("inf"),
+           float("nan")]
+
+
+def hand_built_outputs(gain_mode):
+    outs = []
+    for i, (policy, rep) in enumerate([("oracle", 0), ("uniform", 0),
+                                       ("uniform", 1), ("wts", 12)]):
+        vals = np.roll(np.array(AWKWARD), i)
+        gain = {}
+        if gain_mode:
+            gain = {"beta_hat": vals[::-1].copy(),
+                    "k_hat": np.resize(np.array([0, 15, 3, 7],
+                                                dtype=np.int64), vals.shape)}
+        t = np.arange(1, len(vals) + 1, dtype=np.int64) * (i + 1)
+        outs.append(runner_mod.ReplicationOut(
+            policy, rep, t, vals, np.cumsum(vals), float(np.sum(vals)), {},
+            **gain))
+    return outs
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("gain_mode", [False, True],
+                             ids=["simulate", "gain"])
+    def test_bytes_match_reference_writer(self, tmp_path, gain_mode):
+        outs = hand_built_outputs(gain_mode)
+        runner_mod._write_csv(str(tmp_path / "new.csv"), outs, gain_mode)
+        reference_write_csv(str(tmp_path / "ref.csv"),
+                            [r for o in outs for r in o.rows], gain_mode)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert len(new.splitlines()) == 1 + 4 * len(AWKWARD)
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        outs = hand_built_outputs(False)
+        path = tmp_path / "trace.csv"
+        runner_mod._write_csv(str(path), outs, False)
+        before = path.read_bytes()
+        # the second task's block fails to format, after the first block
+        # has gone to the file
+        steps = outs[1].regret_step.astype(object)
+        steps[3] = "x"
+        bad = runner_mod.ReplicationOut(
+            "uniform", 0, outs[1].t, steps, outs[1].regret_cum, 0.0, {})
+        for target in (path, tmp_path / "fresh.csv"):
+            with pytest.raises(TypeError):
+                runner_mod._write_csv(str(target), [outs[0], bad], False)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_failed_sidecar_leaves_old_file(self, tmp_path, monkeypatch):
+        cfg = sim_config(tmp_path, replications=1)
+        sidecar = tmp_path / "t.json"
+        run(cfg, quiet=True)
+        before = sidecar.read_bytes()
+
+        def boom(obj, fh, **kw):
+            fh.write('{"config": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner_mod.json, "dump", boom)
+        with pytest.raises(OSError):
+            run(cfg, quiet=True)
+        assert sidecar.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv",
+                                                              "t.json"]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("thin", [1, 8, 7])
+    def test_layout(self, tmp_path, thin):
+        cfg = sim_config(tmp_path, thin=thin)
+        out = run_replication(cfg, "uniform", 0)
+        n = cfg.T // thin + (cfg.T % thin != 0)
+        for col, dtype in ((out.t, np.int64), (out.regret_step, np.float64),
+                           (out.regret_cum, np.float64)):
+            assert col.dtype == dtype and col.shape == (n,)
+        assert out.t[-1] == cfg.T
+        assert out.regret_cum[-1] == out.final_cum
+        assert out.beta_hat is None and out.k_hat is None
+        assert out.rows == [
+            runner_mod.TraceRow("uniform", 0, int(t), float(s), float(c))
+            for t, s, c in zip(out.t, out.regret_step, out.regret_cum)]
+
+    def test_gain_layout(self, tmp_path):
+        out = run_replication(gain_config(tmp_path, thin=7), "wts", 1)
+        assert out.beta_hat.dtype == np.float64
+        assert out.k_hat.dtype == np.int64
+        assert out.beta_hat.shape == out.k_hat.shape == out.t.shape == (5,)
+        assert out.rows == [
+            runner_mod.TraceRow("wts", 1, int(t), float(s), float(c),
+                                float(b), int(k))
+            for t, s, c, b, k in zip(out.t, out.regret_step, out.regret_cum,
+                                     out.beta_hat, out.k_hat)]
+
+    def test_pickled_size_per_row(self, tmp_path):
+        # a task sends its rows back to the parent by pickle: three
+        # 8-byte columns, not one object per row
+        cfg = sim_config(tmp_path, T=10_000, policies=("oracle",))
+        out = run_replication(cfg, "oracle", 0)
+        assert len(out.t) == 10_000
+        assert len(pickle.dumps(out)) < 40 * 10_000
