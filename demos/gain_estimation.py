@@ -13,7 +13,6 @@ from spreadbandits import (
     FrequencyGrid,
     PowerProfile,
     RunConfig,
-    dft,
     freq_response,
     grid_from_fir,
     run_replication,
@@ -40,7 +39,7 @@ print(f"gain profile: {np.round(np.abs(problem.g_resp), 3)}")
 # analysis bins 1..K (the upper half mirrors them; the signal is real)
 prof = PowerProfile.one_hot(K, problem.peak_bin)
 u = synth_multisine(prof, grid)
-X = np.abs(dft(u))[1:K + 1]
+X = np.abs(np.fft.fft(u))[1:K + 1]
 others = np.delete(X, problem.peak_bin)
 print(f"\none-hot multisine: energy {X[problem.peak_bin]:.2f} at the "
       f"target bin, {others.max():.2e} in every other bin")

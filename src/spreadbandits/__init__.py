@@ -17,7 +17,6 @@ from .core import (
     batch_stats,
     new_instance,
     sample_outcome,
-    update_stats,
 )
 from .posterior import (
     OptimalityBelief,
@@ -45,7 +44,6 @@ from .policies import (
 )
 from .bounds import (
     BoundConstants,
-    RegretTrace,
     chi2_cdf_even,
     h,
     lower_bound_constants,
@@ -58,12 +56,9 @@ from .sysid import (
     FrequencyGrid,
     GainEstimate,
     GainProblem,
-    dft,
     freq_response,
     gain_estimate,
     grid_from_fir,
-    idft,
-    run_experiment,
     synth_multisine,
 )
 from .config import RunConfig, load_config, parse_config
@@ -76,18 +71,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmStats", "BanditInstance", "Outcome", "PowerProfile",
-    "batch_stats", "new_instance", "sample_outcome", "update_stats",
+    "batch_stats", "new_instance", "sample_outcome",
     "OptimalityBelief", "PosteriorParams", "estimate_rho",
     "posterior_density", "posterior_radial_tail", "sample_posterior",
     "KINDS", "ORACLE", "TS_KNOWN", "TS_UNKNOWN", "UNIFORM", "WTS",
     "PolicyState", "make_policy", "observe", "oracle_step", "policy_step",
     "ts_step", "uniform_step", "wts_step",
-    "BoundConstants", "RegretTrace", "chi2_cdf_even", "h",
+    "BoundConstants", "chi2_cdf_even", "h",
     "lower_bound_constants", "mean_exceedance", "power_lower_constants",
     "regret_step", "variance_tail_bound",
-    "FrequencyGrid", "GainEstimate", "GainProblem", "dft", "freq_response",
-    "gain_estimate", "grid_from_fir", "idft", "run_experiment",
-    "synth_multisine",
+    "FrequencyGrid", "GainEstimate", "GainProblem", "freq_response",
+    "gain_estimate", "grid_from_fir", "synth_multisine",
     "RunConfig", "load_config", "parse_config",
     "RunReport", "TraceRow", "run", "run_replication",
     "CheckResult", "all_passed", "run_verification",

@@ -35,10 +35,6 @@ from .errors import (
 )
 from .core import BanditInstance, PowerProfile
 
-# tolerance tying a cumulative regret array to the cumsum of its steps
-CUMSUM_TOL = 1e-9
-
-
 def h(x: float) -> float:
     """Cramer rate ``x - log(1 + x)`` of the scatter tail, for x > 0."""
     if x <= 0.0:
@@ -98,36 +94,6 @@ def regret_step(instance: BanditInstance, profile: PowerProfile) -> float:
         raise DimensionMismatch(
             f"profile has {p.shape[0]} entries for {instance.n_arms} arms")
     return float(instance.gaps @ p)
-
-
-@dataclass(frozen=True, eq=False)
-class RegretTrace:
-    """Per-round and cumulative expected regret of one run."""
-
-    per_round: np.ndarray
-    cumulative: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.per_round, dtype=np.float64)
-        c = np.asarray(self.cumulative, dtype=np.float64)
-        if r.ndim != 1 or c.shape != r.shape:
-            raise DimensionMismatch("per_round and cumulative must be equal-"
-                                    "length 1-d arrays")
-        if np.any(r < 0.0):
-            raise NonPositiveArgument("per-round regret must be nonnegative")
-        if not np.allclose(np.cumsum(r), c, rtol=CUMSUM_TOL, atol=CUMSUM_TOL):
-            raise NonPositiveArgument(
-                "cumulative regret must be the running sum of the steps")
-        object.__setattr__(self, "per_round", r)
-        object.__setattr__(self, "cumulative", c)
-
-    @classmethod
-    def from_steps(cls, per_round) -> "RegretTrace":
-        r = np.asarray(per_round, dtype=np.float64)
-        return cls(r, np.cumsum(r))
-
-    def __len__(self) -> int:
-        return self.per_round.shape[0]
 
 
 @dataclass(frozen=True)

@@ -263,13 +263,6 @@ class ArmStats:
                 f"{self.mean_y!r}), S={self.S!r}, rounds={self.rounds})")
 
 
-def update_stats(stats: ArmStats, p: float, x=None) -> ArmStats:
-    """Pure version of :meth:`ArmStats.update`: returns a new ArmStats."""
-    out = stats.copy()
-    out.update(p, x)
-    return out
-
-
 def batch_stats(powers, xs) -> ArmStats:
     """Recompute (z, xbar, S) from a full history in one pass.
 

@@ -49,7 +49,7 @@ class AllZeroPower(BanditError):
 # posterior layer
 
 class InvalidParams(BanditError):
-    """Posterior parameters violate their domain (z > 0, S >= 0, t >= 4)."""
+    """Posterior parameters out of domain (z > 0, S > 0, integer t >= 4)."""
 
 
 class ZeroSamples(BanditError):
@@ -99,10 +99,6 @@ class TiedPeak(BanditError):
 
 class NoData(BanditError):
     """A gain estimate was requested before any observation arrived."""
-
-
-class EmptyInput(BanditError):
-    """A transform was applied to an empty sequence."""
 
 
 # ---------------------------------------------------------------------------

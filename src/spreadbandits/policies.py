@@ -35,7 +35,7 @@ from .errors import (
     ProfileMismatch,
     WrongKind,
 )
-from .posterior import _rho_counts
+from .posterior import _radial_t, _rho_counts
 
 WTS = "wts"
 TS_KNOWN = "ts_known"
@@ -161,14 +161,11 @@ def _ts_arm(state: PolicyState, rng: np.random.Generator) -> int:
         if n_obs.min() < 3:
             raise InsufficientData(
                 "ts_unknown needs every arm observed three times")
-        # one call fills u then v: the same stream as two K-draws
-        u, v = rng.random((2, K))
-        u = 1.0 - u
         # bivariate-t posterior of an arm with n one-hot observations is the
         # weighted posterior at z = n, round index n + 1
-        d2 = (state.S / n_obs) * np.expm1(-np.log(u) / (n_obs - 2.0))
+        d2, theta = _radial_t(rng, state.S / n_obs, n_obs - 2.0, K)
         b2 = (xbar * xbar).sum(axis=1)
-        norms2 = b2 + 2.0 * np.sqrt(b2 * d2) * np.cos((2.0 * np.pi) * v)
+        norms2 = b2 + 2.0 * np.sqrt(b2 * d2) * np.cos(theta)
         norms2 += d2
     return int(np.argmax(norms2))
 

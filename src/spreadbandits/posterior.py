@@ -15,13 +15,21 @@ uniform(0,1),
 
     delta = sqrt((S / z) (U^(-1/(t-3)) - 1)),   angle = 2 pi V.
 
+:func:`_radial_t` is this sampler in float64, the one copy behind both
+:func:`sample_posterior` and the unknown-variance Thompson baseline in
+:mod:`spreadbandits.policies`.
+
 :func:`estimate_rho` turns a set of per-arm posteriors into the belief that
 each arm has the largest mean norm, by Monte Carlo over joint draws.  Its
 kernel, :func:`_rho_counts`, runs the same sampler in float32 on the
 uniforms ``rng.random(dtype=np.float32)`` would give, on every bit
 generator: for PCG64 it reads them from the raw 64-bit words, elsewhere
 from ``rng.integers``, and either way it leaves the generator in the same
-state as that draw.
+state as that draw.  It stays a separate kernel because it is the hot path
+of every WTS round: it works in place on a reused float32 buffer, rescales
+the statistics so float32 neither overflows nor underflows, and must keep
+its counts bit-equal, draw for draw, to the reference kernel that the
+engine tests compare it with.
 """
 
 import math
@@ -58,12 +66,15 @@ class PosteriorParams:
     def __post_init__(self):
         z = float(self.z)
         S = float(self.S)
-        t = int(self.t)
+        t = self.t
         xbar = np.asarray(self.xbar, dtype=np.float64)
         if not np.isfinite(z) or z <= 0.0:
             raise InvalidParams(f"z must be finite and > 0, got {z}")
         if not np.isfinite(S) or S <= 0.0:
             raise InvalidParams(f"S must be finite and > 0, got {S}")
+        if not (math.isfinite(t) and t == int(t)):
+            raise InvalidParams(f"t must be a finite integer, got t={t}")
+        t = int(t)
         if t < 4:
             raise InvalidParams(f"posterior needs t >= 4, got t={t}")
         if xbar.shape != (2,) or not np.all(np.isfinite(xbar)):
@@ -108,6 +119,21 @@ def posterior_radial_tail(params: PosteriorParams, delta) -> np.ndarray:
     return q ** (-(params.t - 3.0))
 
 
+def _radial_t(rng: np.random.Generator, scale, dof, n: int) -> tuple:
+    """Squared radius and angle of ``n`` radial-t draws about the centre.
+
+    ``d2 = scale * ((1 - u)^(-1/dof) - 1)`` and ``theta = 2 pi v``, where
+    ``u`` and ``v`` are the rows of ``rng.random((2, n))``, in float64 the
+    same stream as two ``rng.random(n)`` calls.  ``scale`` is ``S / z``
+    and ``dof`` is ``t - 3``, each a scalar or a length-``n`` vector.
+    """
+    u, v = rng.random((2, n))
+    # 1 - u in (0, 1] guards the heavy-tail endpoint; expm1 keeps
+    # precision when 1/dof is tiny
+    d2 = scale * np.expm1(-np.log(1.0 - u) / dof)
+    return d2, (2.0 * np.pi) * v
+
+
 def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
                      size: int | None = None) -> np.ndarray:
     """Draw from the posterior by inverse-CDF radius and uniform angle.
@@ -117,12 +143,8 @@ def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
     n = 1 if size is None else int(size)
     if n < 1:
         raise InvalidParams(f"size must be >= 1, got {size}")
-    # U in (0, 1]: guards the u -> 0 heavy-tail endpoint
-    u = 1.0 - rng.random(n)
-    theta = (2.0 * np.pi) * rng.random(n)
-    # expm1 keeps precision when 1/(t-3) is tiny
-    delta = np.sqrt((params.S / params.z)
-                    * np.expm1(-np.log(u) / (params.t - 3.0)))
+    d2, theta = _radial_t(rng, params.S / params.z, params.t - 3.0, n)
+    delta = np.sqrt(d2)
     out = np.empty((n, 2))
     out[:, 0] = params.xbar[0] + delta * np.cos(theta)
     out[:, 1] = params.xbar[1] + delta * np.sin(theta)

@@ -18,18 +18,17 @@ estimate reads off the arm with the most accumulated power:
     k_hat = argmax_k z_k,   beta_hat = |xbar_{k_hat}|.
 
 :func:`grid_from_fir` builds the induced bandit instance from FIR
-coefficient lists; :func:`run_experiment` samples its canonical observation
-law directly.
+coefficient lists; measurements of a grid are observations of that
+instance (:func:`spreadbandits.core.sample_outcome`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BanditInstance, Outcome, PowerProfile, new_instance, sample_outcome
+from .core import BanditInstance, PowerProfile, new_instance
 from .errors import (
     DimensionMismatch,
-    EmptyInput,
     NoData,
     TiedPeak,
     TooFewArms,
@@ -122,16 +121,6 @@ def grid_from_fir(g_coeffs, h_coeffs, K: int) -> GainProblem:
     return GainProblem(grid, g_resp, h_resp, instance)
 
 
-def run_experiment(problem: GainProblem, profile: PowerProfile,
-                   rng: np.random.Generator) -> Outcome:
-    """One round of frequency-domain measurements under ``profile``.
-
-    Samples the induced instance's observation law directly; bins with zero
-    power are unexcited and return nothing.
-    """
-    return sample_outcome(problem.instance, profile, rng)
-
-
 def synth_multisine(profile: PowerProfile, grid: FrequencyGrid) -> np.ndarray:
     """The length-N input signal realising ``profile``:
     u_tau = sum_k sqrt(p_k) sin(omega_k tau)."""
@@ -140,27 +129,6 @@ def synth_multisine(profile: PowerProfile, grid: FrequencyGrid) -> np.ndarray:
             f"profile has {len(profile)} entries for {grid.K} bins")
     taus = np.arange(grid.N)
     return np.sin(np.outer(taus, grid.omegas)) @ np.sqrt(profile.p)
-
-
-def dft(x) -> np.ndarray:
-    """Plain O(N^2) DFT:  X_m = sum_tau x_tau e^{-j 2 pi m tau / N}."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise EmptyInput("dft needs a nonempty 1-d sequence")
-    N = x.shape[0]
-    m = np.arange(N)
-    return np.exp(-2j * np.pi * np.outer(m, m) / N) @ x.astype(np.complex128)
-
-
-def idft(X) -> np.ndarray:
-    """Inverse of :func:`dft`:  x_tau = (1/N) sum_m X_m e^{j 2 pi m tau / N}."""
-    X = np.asarray(X)
-    if X.ndim != 1 or X.shape[0] == 0:
-        raise EmptyInput("idft needs a nonempty 1-d sequence")
-    N = X.shape[0]
-    m = np.arange(N)
-    return (np.exp(2j * np.pi * np.outer(m, m) / N) @ X.astype(np.complex128)
-            / N)
 
 
 def gain_estimate(z, xbar, t: int) -> GainEstimate:

@@ -9,7 +9,6 @@ import scipy.stats
 from spreadbandits import (
     BanditInstance,
     PowerProfile,
-    RegretTrace,
     chi2_cdf_even,
     h,
     lower_bound_constants,
@@ -24,6 +23,7 @@ from spreadbandits.errors import (
     OddDof,
     NegativeX,
 )
+from spreadbandits.verify import check_bound_ordering
 
 
 class TestH:
@@ -159,25 +159,6 @@ class TestRegretStep:
             regret_step(inst, PowerProfile.uniform(3))
 
 
-class TestRegretTrace:
-    def test_from_steps(self):
-        tr = RegretTrace.from_steps([0.5, 0.0, 0.25])
-        np.testing.assert_allclose(tr.cumulative, [0.5, 0.5, 0.75])
-        assert len(tr) == 3
-
-    def test_rejects_inconsistent_cumulative(self):
-        with pytest.raises(NonPositiveArgument):
-            RegretTrace(np.array([1.0, 1.0]), np.array([1.0, 0.5]))
-
-    def test_rejects_negative_step(self):
-        with pytest.raises(NonPositiveArgument):
-            RegretTrace.from_steps([-0.1, 0.5])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            RegretTrace(np.array([1.0, 1.0]), np.array([1.0]))
-
-
 class TestLowerBoundConstants:
     def test_frozen_two_arm_case(self):
         # norms (2, 1), unit variances: gap 1, so the spreading constants
@@ -189,14 +170,7 @@ class TestLowerBoundConstants:
         assert c.spreading_known == c.spreading_unknown == c.ns_known
 
     def test_ns_dominates_spreading(self):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            K = int(rng.integers(2, 7))
-            means = rng.normal(size=(K, 2))
-            variances = rng.uniform(0.05, 3.0, size=K)
-            inst = instance(means, variances)
-            c = lower_bound_constants(inst)
-            assert c.ns_unknown >= c.spreading_unknown - 1e-12
+        assert check_bound_ordering(np.random.default_rng(12)).passed
 
     def test_variance_scaling(self):
         # scaling every sigma^2 by c scales the known-variance constant by c

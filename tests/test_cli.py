@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -63,7 +64,7 @@ class TestSimulate:
     def test_seed_override_changes_output(self, tmp_path, sim_cfg, capsys):
         # needs a stochastic policy: oracle/uniform traces are seed-free
         cfg = write(tmp_path, "seeded.cfg",
-                    open(sim_cfg).read().replace("[uniform, oracle]",
+                    Path(sim_cfg).read_text().replace("[uniform, oracle]",
                                                  "[ts_known]"))
         main(["simulate", "--config", cfg])
         base = (tmp_path / "trace.csv").read_bytes()
@@ -96,7 +97,7 @@ T = 25
 
     def test_small_horizon_rejected(self, tmp_path, sim_cfg, capsys):
         bad = write(tmp_path, "small.cfg",
-                    open(sim_cfg).read().replace("T = 25", "T = 3"))
+                    Path(sim_cfg).read_text().replace("T = 25", "T = 3"))
         assert main(["simulate", "--config", bad]) == 2
         assert "T" in capsys.readouterr().err
 

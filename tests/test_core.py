@@ -11,7 +11,6 @@ from spreadbandits import (
     batch_stats,
     new_instance,
     sample_outcome,
-    update_stats,
 )
 from spreadbandits.errors import (
     AllZeroPower,
@@ -133,15 +132,16 @@ class TestArmStats:
     def test_two_unit_updates(self):
         # z=2, xbar=(1,0), S = 1*|(-1,0)|^2 + 1*|(1,0)|^2 = 2
         st = ArmStats()
-        st = update_stats(st, 1.0, np.array([0.0, 0.0]))
-        st = update_stats(st, 1.0, np.array([2.0, 0.0]))
+        st.update(1.0, np.array([0.0, 0.0]))
+        st.update(1.0, np.array([2.0, 0.0]))
         assert st.z == pytest.approx(2.0)
         assert st.xbar == pytest.approx((1.0, 0.0))
         assert st.S == pytest.approx(2.0)
         assert st.rounds == 2
 
     def test_single_update_zero_scatter(self):
-        st = update_stats(ArmStats(), 0.3, np.array([5.0, -5.0]))
+        st = ArmStats()
+        st.update(0.3, np.array([5.0, -5.0]))
         assert st.z == pytest.approx(0.3)
         assert st.xbar == pytest.approx((5.0, -5.0))
         assert st.S == 0.0
@@ -149,31 +149,28 @@ class TestArmStats:
     def test_weighted_pair(self):
         # hand evaluation: xbar=(1,0), S = 0.25*9 + 0.75*1 = 3
         st = ArmStats()
-        st = update_stats(st, 0.25, np.array([4.0, 0.0]))
-        st = update_stats(st, 0.75, np.array([0.0, 0.0]))
+        st.update(0.25, np.array([4.0, 0.0]))
+        st.update(0.75, np.array([0.0, 0.0]))
         assert st.z == pytest.approx(1.0)
         assert st.xbar == pytest.approx((1.0, 0.0))
         assert st.S == pytest.approx(3.0)
 
     def test_zero_power_only_counts_round(self):
-        st = update_stats(ArmStats(), 1.0, np.array([1.0, 2.0]))
-        st2 = update_stats(st, 0.0)
+        st = ArmStats()
+        st.update(1.0, np.array([1.0, 2.0]))
+        st2 = st.copy()
+        st2.update(0.0)
         assert (st2.z, st2.S) == (st.z, st.S)
         assert np.array_equal(st2.xbar, st.xbar)
         assert st2.rounds == st.rounds + 1
 
     def test_negative_power_rejected(self):
         with pytest.raises(NegativePower):
-            update_stats(ArmStats(), -0.1, np.array([0.0, 0.0]))
+            ArmStats().update(-0.1, np.array([0.0, 0.0]))
 
     def test_positive_power_needs_observation(self):
         with pytest.raises(MissingObservation):
-            update_stats(ArmStats(), 0.5, None)
-
-    def test_update_stats_is_pure(self):
-        st = ArmStats()
-        update_stats(st, 1.0, np.array([1.0, 1.0]))
-        assert st.z == 0.0 and st.rounds == 0
+            ArmStats().update(0.5, None)
 
     def test_inplace_update_mutates(self):
         st = ArmStats()

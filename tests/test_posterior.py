@@ -17,6 +17,7 @@ from spreadbandits import (
 )
 from spreadbandits.errors import InvalidParams, TooFewArms, ZeroSamples
 from spreadbandits.posterior import _rho_counts
+from spreadbandits.verify import check_rho_consistency
 
 
 def params(z=1.0, xbar=(0.0, 0.0), S=1.0, t=4):
@@ -31,6 +32,7 @@ class TestParams:
     @pytest.mark.parametrize("kw", [
         dict(z=0.0), dict(z=-1.0), dict(S=0.0), dict(S=-0.5), dict(t=3),
         dict(xbar=(np.nan, 0.0)), dict(xbar=(1.0, 2.0, 3.0)),
+        dict(t=4.9), dict(t=np.nan), dict(t=np.inf),
     ])
     def test_invalid(self, kw):
         with pytest.raises(InvalidParams):
@@ -167,13 +169,7 @@ class TestEstimateRho:
         assert np.all(belief.rho >= 0.0)
 
     def test_consistency_between_sample_sizes(self):
-        q = [params(3.0, (1.2, 0.0), 1.0, 9),
-             params(2.0, (0.8, 0.6), 1.5, 9)]
-        rng = np.random.default_rng(10)
-        M = 4096
-        a = estimate_rho(q, M, rng)
-        b = estimate_rho(q, 10 * M, rng)
-        assert float(np.max(np.abs(a.rho - b.rho))) < 5.0 / math.sqrt(M)
+        assert check_rho_consistency(np.random.default_rng(10)).passed
 
     def test_zero_samples_rejected(self):
         q = [params(), params()]

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,14 +51,14 @@ class TestTraceFile:
     def test_simulate_header_and_shape(self, tmp_path):
         cfg = sim_config(tmp_path)
         rep = run(cfg, quiet=True)
-        lines = open(rep.csv_path).read().splitlines()
+        lines = Path(rep.csv_path).read_text().splitlines()
         assert lines[0] == "policy,replication,t,regret_step,regret_cum"
         assert len(lines) == 1 + 3 * 3 * 40
 
     def test_gain_header(self, tmp_path):
         cfg = gain_config(tmp_path)
         rep = run(cfg, quiet=True)
-        lines = open(rep.csv_path).read().splitlines()
+        lines = Path(rep.csv_path).read_text().splitlines()
         assert lines[0] == ("policy,replication,t,regret_step,regret_cum,"
                             "beta_hat,k_hat")
         first = lines[1].split(",")
@@ -67,7 +68,7 @@ class TestTraceFile:
     def test_rows_sorted_and_cumulative(self, tmp_path):
         cfg = sim_config(tmp_path)
         rep = run(cfg, quiet=True)
-        lines = open(rep.csv_path).read().splitlines()[1:]
+        lines = Path(rep.csv_path).read_text().splitlines()[1:]
         keys, cums = [], {}
         for ln in lines:
             pol, r, t, step, cum = ln.split(",")
@@ -80,7 +81,7 @@ class TestTraceFile:
     def test_oracle_rows_are_zero(self, tmp_path):
         cfg = sim_config(tmp_path, policies=("oracle",), replications=1)
         rep = run(cfg, quiet=True)
-        for ln in open(rep.csv_path).read().splitlines()[1:]:
+        for ln in Path(rep.csv_path).read_text().splitlines()[1:]:
             _, _, _, step, cum = ln.split(",")
             assert float(step) == 0.0 and float(cum) == 0.0
 
@@ -88,10 +89,10 @@ class TestTraceFile:
         dense = run(sim_config(tmp_path, "dense"), quiet=True)
         thin = run(sim_config(tmp_path, "thin", thin=7), quiet=True)
         want = {}
-        for ln in open(dense.csv_path).read().splitlines()[1:]:
+        for ln in Path(dense.csv_path).read_text().splitlines()[1:]:
             pol, r, t, _, cum = ln.split(",")
             want[(pol, r, t)] = cum
-        thinned = open(thin.csv_path).read().splitlines()[1:]
+        thinned = Path(thin.csv_path).read_text().splitlines()[1:]
         assert thinned  # rounds 7, 14, ..., 35, 40 per trace
         for ln in thinned:
             pol, r, t, _, cum = ln.split(",")
@@ -101,7 +102,7 @@ class TestTraceFile:
     def test_json_sidecar(self, tmp_path):
         cfg = sim_config(tmp_path)
         rep = run(cfg, quiet=True)
-        side = json.load(open(rep.json_path))
+        side = json.loads(Path(rep.json_path).read_text())
         assert set(side) == {"config", "bound_constants", "horizon_summary",
                              "started_at", "elapsed_s"}
         assert set(side["bound_constants"]) == {
@@ -119,46 +120,52 @@ class TestTraceFile:
         assert s["replications"] == 3
 
 
+def all_kinds_run(tmp_path, name, **kw):
+    """A simulate run of both sampling kinds and both fixed baselines."""
+    return run(sim_config(tmp_path, name, **kw,
+                          policies=("wts", "ts_unknown", "oracle", "uniform")),
+               quiet=True)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        a = run(sim_config(tmp_path, "a"), quiet=True)
-        b = run(sim_config(tmp_path, "b"), quiet=True)
-        assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+        a = all_kinds_run(tmp_path, "a")
+        b = all_kinds_run(tmp_path, "b")
+        assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
 
     def test_seed_changes_trace(self, tmp_path):
-        a = run(sim_config(tmp_path, "a"), quiet=True)
-        b = run(sim_config(tmp_path, "b", seed=1), quiet=True)
-        assert open(a.csv_path, "rb").read() != open(b.csv_path, "rb").read()
+        a = all_kinds_run(tmp_path, "a")
+        b = all_kinds_run(tmp_path, "b", seed=1)
+        assert Path(a.csv_path).read_bytes() != Path(b.csv_path).read_bytes()
 
     def test_more_replications_extend_prefix(self, tmp_path):
-        small = run(sim_config(tmp_path, "small", replications=3),
-                    quiet=True)
-        large = run(sim_config(tmp_path, "large", replications=6),
-                    quiet=True)
+        small = all_kinds_run(tmp_path, "small", replications=10)
+        large = all_kinds_run(tmp_path, "large", replications=20)
 
         def by_rep(path):
             rows = {}
-            for ln in open(path).read().splitlines()[1:]:
+            for ln in Path(path).read_text().splitlines()[1:]:
                 parts = ln.split(",")
                 rows.setdefault((parts[0], int(parts[1])), []).append(ln)
             return rows
 
         small_rows, large_rows = by_rep(small.csv_path), by_rep(large.csv_path)
+        assert len(large_rows) == 2 * len(small_rows)
         for key, lines in small_rows.items():
             assert large_rows[key] == lines
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         serial = run(sim_config(tmp_path, "serial"), workers=1, quiet=True)
         parallel = run(sim_config(tmp_path, "par"), workers=2, quiet=True)
-        assert open(serial.csv_path, "rb").read() \
-            == open(parallel.csv_path, "rb").read()
+        assert Path(serial.csv_path).read_bytes() \
+            == Path(parallel.csv_path).read_bytes()
 
     def test_policy_order_irrelevant(self, tmp_path):
         a = run(sim_config(tmp_path, "a",
                            policies=("wts", "uniform")), quiet=True)
         b = run(sim_config(tmp_path, "b",
                            policies=("uniform", "wts")), quiet=True)
-        assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+        assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
 
     def test_policies_isolated_seeds(self, tmp_path):
         # dropping one policy leaves the other's trace bytes unchanged
@@ -166,9 +173,10 @@ class TestDeterminism:
                               policies=("wts", "uniform")), quiet=True)
         solo = run(sim_config(tmp_path, "solo", policies=("wts",)),
                    quiet=True)
-        both_wts = [ln for ln in open(both.csv_path).read().splitlines()[1:]
+        both_wts = [ln for ln in
+                    Path(both.csv_path).read_text().splitlines()[1:]
                     if ln.startswith("wts,")]
-        solo_wts = open(solo.csv_path).read().splitlines()[1:]
+        solo_wts = Path(solo.csv_path).read_text().splitlines()[1:]
         assert both_wts == solo_wts
 
 

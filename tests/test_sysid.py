@@ -1,4 +1,4 @@
-"""Frequency-grid gain estimation: grid, FIR responses, multisine, DFT."""
+"""Frequency-grid gain estimation: grid, FIR responses, multisine, readout."""
 
 import numpy as np
 import pytest
@@ -7,23 +7,21 @@ from spreadbandits import (
     FrequencyGrid,
     GainEstimate,
     PowerProfile,
-    dft,
     freq_response,
     gain_estimate,
     grid_from_fir,
-    idft,
-    run_experiment,
+    sample_outcome,
     synth_multisine,
 )
 from spreadbandits.core import ArmStats
 from spreadbandits.errors import (
     DimensionMismatch,
-    EmptyInput,
     NoData,
     TiedPeak,
     TooFewArms,
     ZeroNoiseBin,
 )
+from spreadbandits.verify import check_gain_mse_slope
 
 
 class TestFrequencyGrid:
@@ -112,7 +110,7 @@ class TestRunExperiment:
         prob = grid_from_fir([0.5, 0.5], [2.0], 2)
         prof = PowerProfile.one_hot(2, 0)
         rng = np.random.default_rng(14)
-        draws = np.array([run_experiment(prob, prof, rng).values[0]
+        draws = np.array([sample_outcome(prob.instance, prof, rng).values[0]
                           for _ in range(100000)])
         np.testing.assert_allclose(draws.var(axis=0, ddof=1), [2.0, 2.0],
                                    rtol=0.02)
@@ -124,7 +122,7 @@ class TestRunExperiment:
         prob = grid_from_fir([0.5, 0.5], [1.0], 2)
         prof = PowerProfile.uniform(2)
         rng = np.random.default_rng(15)
-        draws = np.array([run_experiment(prob, prof, rng).values[1]
+        draws = np.array([sample_outcome(prob.instance, prof, rng).values[1]
                           for _ in range(100000)])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr) < 0.02
@@ -132,7 +130,7 @@ class TestRunExperiment:
     def test_zero_power_bin_unexcited(self):
         prob = grid_from_fir([0.5, 0.5], [1.0], 3)
         prof = PowerProfile(np.array([0.5, 0.0, 0.5]))
-        out = run_experiment(prob, prof, np.random.default_rng(16))
+        out = sample_outcome(prob.instance, prof, np.random.default_rng(16))
         assert out.values[1] is None
         assert out.values[0] is not None
 
@@ -149,14 +147,14 @@ class TestMultisine:
         # the excited bin carries (N/2) sqrt(p) = 5/2
         grid = FrequencyGrid(2)
         u = synth_multisine(PowerProfile.one_hot(2, 0), grid)
-        X = dft(u)
+        X = np.fft.fft(u)
         assert abs(X[1]) == pytest.approx(2.5, abs=1e-9)
         assert abs(X[2]) == pytest.approx(0.0, abs=1e-9)
 
     def test_general_profile_bin_magnitudes(self):
         grid = FrequencyGrid(4)
         prof = PowerProfile(np.array([0.4, 0.1, 0.25, 0.25]))
-        X = dft(synth_multisine(prof, grid))
+        X = np.fft.fft(synth_multisine(prof, grid))
         got = np.abs(X[1:grid.K + 1])
         want = (grid.N / 2.0) * np.sqrt(prof.p)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -165,40 +163,13 @@ class TestMultisine:
         grid = FrequencyGrid(5)
         prof = PowerProfile(np.array([0.3, 0.05, 0.15, 0.2, 0.3]))
         u = synth_multisine(prof, grid)
-        X = dft(u)
+        X = np.fft.fft(u)
         assert np.sum(np.abs(X) ** 2) == pytest.approx(
             grid.N * np.sum(u * u), rel=1e-12)
 
     def test_profile_grid_mismatch(self):
         with pytest.raises(DimensionMismatch):
             synth_multisine(PowerProfile.uniform(3), FrequencyGrid(2))
-
-
-class TestDft:
-    def test_impulse(self):
-        np.testing.assert_allclose(dft([1.0, 0.0, 0.0, 0.0]), np.ones(4),
-                                   atol=1e-12)
-
-    def test_dc(self):
-        X = dft(np.ones(5))
-        assert X[0] == pytest.approx(5.0)
-        np.testing.assert_allclose(X[1:], 0.0, atol=1e-12)
-
-    def test_matches_fft(self):
-        rng = np.random.default_rng(17)
-        x = rng.normal(size=11)
-        np.testing.assert_allclose(dft(x), np.fft.fft(x), atol=1e-10)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(18)
-        x = rng.normal(size=21) + 1j * rng.normal(size=21)
-        np.testing.assert_allclose(idft(dft(x)), x, atol=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            dft([])
-        with pytest.raises(EmptyInput):
-            idft([])
 
 
 class TestGainEstimate:
@@ -227,7 +198,7 @@ class TestGainEstimate:
         rng = np.random.default_rng(19)
         per = [ArmStats() for _ in range(4)]
         for t in range(10):
-            out = run_experiment(prob, prof, rng)
+            out = sample_outcome(prob.instance, prof, rng)
             for k in range(4):
                 per[k].update(prof.p[k], out.values[k])
         z = np.array([st.z for st in per])
@@ -239,24 +210,7 @@ class TestGainEstimate:
     def test_mse_decays_linearly(self):
         # averaging the peak bin for t rounds gives MSE ~ |H|^2 / t:
         # slope of log MSE vs log t in [-1.2, -0.8]
-        prob = grid_from_fir([0.5, 0.5], [1.0], 3)
-        prof = PowerProfile.one_hot(3, prob.peak_bin)
-        beta = prob.peak_gain
-        ts = [100, 1000, 10000]
-        reps = 200
-        mse = []
-        rng = np.random.default_rng(20)
-        for t in ts:
-            err2 = 0.0
-            mu = prob.instance.means[prob.peak_bin]
-            sig = np.sqrt(prob.instance.variances[prob.peak_bin] / 2.0)
-            for _ in range(reps):
-                # one-hot play: xbar after t rounds is the plain average
-                xbar = mu + sig * rng.normal(size=2) / np.sqrt(t)
-                err2 += (np.hypot(*xbar) - beta) ** 2
-            mse.append(err2 / reps)
-        slope = np.polyfit(np.log(ts), np.log(mse), 1)[0]
-        assert -1.2 < slope < -0.8
+        assert check_gain_mse_slope(np.random.default_rng(20)).passed
 
     def test_estimate_fields(self):
         est = GainEstimate(beta_hat=1.5, k_hat=2, t=9)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from spreadbandits import rng as rng_streams
+from spreadbandits import verify
+from spreadbandits.errors import TiedOptimum
 from spreadbandits.verify import (
     CheckResult,
     all_passed,
+    check_bound_ordering,
     check_chi2_law,
     check_rotation_invariance,
     run_verification,
@@ -65,3 +68,21 @@ def test_rotation_invariance_detects_perturbed_mean(seed):
     # a 1e-9 relative change of the best arm's mean is far above rounding
     rng = rng_streams.stream(seed, 1006)
     assert not check_rotation_invariance(rng, perturb=1e-9).passed
+
+
+@pytest.mark.parametrize("check", [check_rotation_invariance,
+                                   check_bound_ordering])
+def test_fails_when_random_instances_are_skipped(check, monkeypatch):
+    # every random instance reads as tied: a check that skips them all has
+    # checked nothing and must not pass
+    real = verify.new_instance
+
+    def tied(means, variances):
+        if isinstance(means, np.ndarray):  # the checks' random draws
+            raise TiedOptimum("every random instance tied")
+        return real(means, variances)
+
+    monkeypatch.setattr(verify, "new_instance", tied)
+    result = check(np.random.default_rng(0))
+    assert not result.passed
+    assert "0/" in result.observed
