@@ -45,10 +45,10 @@ for z, t in ((2.0, 4), (8.0, 10), (32.0, 34), (128.0, 130)):
 print("\nbelief that each arm is best (20k joint posterior draws):")
 a = PosteriorParams(z=10.0, xbar=np.array([1.10, 0.0]), S=5.0, t=12)
 b = PosteriorParams(z=10.0, xbar=np.array([1.00, 0.0]), S=5.0, t=12)
-belief = estimate_rho([a, b], 20000, rng)
-print(f"  arms at norms 1.10 vs 1.00, equal power: rho = {belief.rho}")
+rho = estimate_rho([a, b], 20000, rng)
+print(f"  arms at norms 1.10 vs 1.00, equal power: rho = {rho}")
 
 a = PosteriorParams(z=80.0, xbar=np.array([1.10, 0.0]), S=40.0, t=82)
 b = PosteriorParams(z=80.0, xbar=np.array([1.00, 0.0]), S=40.0, t=82)
-belief = estimate_rho([a, b], 20000, rng)
-print(f"  same means, 8x the power:           rho = {belief.rho}")
+rho = estimate_rho([a, b], 20000, rng)
+print(f"  same means, 8x the power:           rho = {rho}")

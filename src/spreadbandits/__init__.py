@@ -19,7 +19,6 @@ from .core import (
     sample_outcome,
 )
 from .posterior import (
-    OptimalityBelief,
     PosteriorParams,
     estimate_rho,
     posterior_density,
@@ -36,11 +35,7 @@ from .policies import (
     PolicyState,
     make_policy,
     observe,
-    oracle_step,
     policy_step,
-    ts_step,
-    uniform_step,
-    wts_step,
 )
 from .bounds import (
     BoundConstants,
@@ -62,7 +57,7 @@ from .sysid import (
     synth_multisine,
 )
 from .config import RunConfig, load_config, parse_config
-from .runner import RunReport, TraceRow, run, run_replication
+from .runner import RunReport, run, run_replication
 from .verify import CheckResult, all_passed, run_verification
 from .rng import stream
 from . import errors
@@ -72,18 +67,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmStats", "BanditInstance", "Outcome", "PowerProfile",
     "batch_stats", "new_instance", "sample_outcome",
-    "OptimalityBelief", "PosteriorParams", "estimate_rho",
+    "PosteriorParams", "estimate_rho",
     "posterior_density", "posterior_radial_tail", "sample_posterior",
     "KINDS", "ORACLE", "TS_KNOWN", "TS_UNKNOWN", "UNIFORM", "WTS",
-    "PolicyState", "make_policy", "observe", "oracle_step", "policy_step",
-    "ts_step", "uniform_step", "wts_step",
+    "PolicyState", "make_policy", "observe", "policy_step",
     "BoundConstants", "chi2_cdf_even", "h",
     "lower_bound_constants", "mean_exceedance", "power_lower_constants",
     "regret_step", "variance_tail_bound",
     "FrequencyGrid", "GainEstimate", "GainProblem", "freq_response",
     "gain_estimate", "grid_from_fir", "synth_multisine",
     "RunConfig", "load_config", "parse_config",
-    "RunReport", "TraceRow", "run", "run_replication",
+    "RunReport", "run", "run_replication",
     "CheckResult", "all_passed", "run_verification",
     "stream", "errors",
 ]

@@ -47,7 +47,8 @@ DEFAULT_OUT = "trace"
 DEFAULT_POLICIES = ("wts",)
 
 # smallest accepted value of each integer run field
-_RUN_MINIMA = {"T": 4, "replications": 1, "mc_samples": 1, "thin": 1}
+_RUN_MINIMA = {"T": 4, "replications": 1, "seed": 0, "mc_samples": 1,
+               "thin": 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +100,8 @@ def check_run_fields(fields: dict) -> None:
     """Reject run fields that are not integers at or above their minimum.
 
     ``parse_config`` and ``run`` both call this, so a config built in
-    Python meets the same rules as one read from a file.  Absent (``None``)
+    Python meets the same rules as one read from a file;
+    ``run_verification`` checks its seed with it too.  Absent (``None``)
     fields are skipped.
     """
     for key, low in _RUN_MINIMA.items():

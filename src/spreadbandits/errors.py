@@ -60,15 +60,11 @@ class ZeroSamples(BanditError):
 # policy layer
 
 class WrongKind(BanditError):
-    """A step function was called on a state of a different policy kind."""
+    """A policy kind is not one of :data:`spreadbandits.policies.KINDS`."""
 
 
 class InsufficientData(BanditError):
     """A policy needs more observations than its state holds."""
-
-
-class ProfileMismatch(BanditError):
-    """Profile or outcome length disagrees with the policy state."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +84,6 @@ class NegativeX(BanditError):
 
 # ---------------------------------------------------------------------------
 # gain-estimation layer
-
-class ZeroNoiseBin(BanditError):
-    """The noise shaping filter vanishes at a grid frequency."""
-
-
-class TiedPeak(BanditError):
-    """Two grid frequencies share the largest gain within tolerance."""
-
 
 class NoData(BanditError):
     """A gain estimate was requested before any observation arrived."""

@@ -29,10 +29,10 @@ import numpy as np
 
 from .core import SIMPLEX_TOL, BanditInstance, Outcome, PowerProfile
 from .errors import (
+    DimensionMismatch,
     InsufficientData,
     InvalidProfile,
     MissingObservation,
-    ProfileMismatch,
     WrongKind,
 )
 from .posterior import _radial_t, _rho_counts
@@ -105,8 +105,6 @@ def make_policy(kind: str, instance: BanditInstance,
     keeps the variance vector, ``oracle`` the best-arm index, and ``wts`` /
     ``ts_unknown`` nothing beyond the arm count.
     """
-    if kind not in KINDS:
-        raise WrongKind(f"unknown policy kind {kind!r}")
     return PolicyState(
         kind, instance.n_arms,
         mc_samples=mc_samples if kind == WTS else None,
@@ -216,34 +214,6 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
 # ---------------------------------------------------------------------------
 # the public, validated API over the same engine
 
-def wts_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
-    """Emit the WTS profile for the current round."""
-    if state.kind != WTS:
-        raise WrongKind(f"wts_step on a {state.kind!r} state")
-    return PowerProfile(_wts_powers(state, rng))
-
-
-def ts_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
-    """Emit the one-hot Thompson profile for the current round."""
-    if state.kind not in (TS_KNOWN, TS_UNKNOWN):
-        raise WrongKind(f"ts_step on a {state.kind!r} state")
-    return PowerProfile.one_hot(state.n_arms, _ts_arm(state, rng))
-
-
-def oracle_step(state: PolicyState) -> PowerProfile:
-    """All power on the known best arm."""
-    if state.kind != ORACLE:
-        raise WrongKind(f"oracle_step on a {state.kind!r} state")
-    return PowerProfile.one_hot(state.n_arms, state.k_star)
-
-
-def uniform_step(state: PolicyState) -> PowerProfile:
-    """The flat profile, every round."""
-    if state.kind != UNIFORM:
-        raise WrongKind(f"uniform_step on a {state.kind!r} state")
-    return PowerProfile.uniform(state.n_arms)
-
-
 def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     """The profile ``state.kind`` plays this round."""
     play = _choose(state, rng)
@@ -257,9 +227,11 @@ def observe(state: PolicyState, profile: PowerProfile,
     """Fold one round of outcomes into ``state`` (mutates and returns it)."""
     K = state.n_arms
     if len(profile) != K:
-        raise ProfileMismatch(f"profile has {len(profile)} entries, state {K}")
+        raise DimensionMismatch(
+            f"profile has {len(profile)} entries, state {K}")
     if len(outcome) != K:
-        raise ProfileMismatch(f"outcome has {len(outcome)} entries, state {K}")
+        raise DimensionMismatch(
+            f"outcome has {len(outcome)} entries, state {K}")
     p = profile.p
     values = outcome.values
     active = np.flatnonzero(p > 0.0).tolist()

@@ -39,9 +39,6 @@ import numpy as np
 
 from .errors import InvalidParams, TooFewArms, ZeroSamples
 
-# belief coordinates must sum to one within this tolerance
-BELIEF_SUM_TOL = 1e-12
-
 # the Monte Carlo kernel's uniforms: u = m * 2^-24 for a 24-bit mantissa m,
 # 1 - u = (2^24 - m) * 2^-24 and 2 pi v = m * (fl32(2 pi) * 2^-24), all exact
 # scalings by a power of two
@@ -83,22 +80,6 @@ class PosteriorParams:
         object.__setattr__(self, "xbar", xbar)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True, eq=False)
-class OptimalityBelief:
-    """Monte Carlo estimate of P(arm k has the largest mean norm)."""
-
-    rho: np.ndarray
-    samples_used: int
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        if rho.ndim != 1 or rho.shape[0] < 2:
-            raise InvalidParams("rho must be 1-d with at least 2 entries")
-        if np.any(rho < 0.0) or abs(rho.sum() - 1.0) > BELIEF_SUM_TOL:
-            raise InvalidParams("rho must be a probability vector")
-        object.__setattr__(self, "rho", rho)
 
 
 def posterior_density(params: PosteriorParams, mu) -> np.ndarray:
@@ -250,13 +231,14 @@ def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
 
 
 def estimate_rho(all_params, mc_samples: int,
-                 rng: np.random.Generator) -> OptimalityBelief:
-    """Estimate the optimality belief over K >= 2 arms.
+                 rng: np.random.Generator) -> np.ndarray:
+    """Estimate the optimality belief ``rho`` over K >= 2 arms.
 
     Draws ``mc_samples`` joint posterior samples (independent across arms)
     and counts, per arm, how often its sample attains the strict maximum
-    norm; ties go to the lowest index.  The counts divided by ``mc_samples``
-    form the belief, so the result sums to one by construction.
+    norm; ties go to the lowest index.  ``rho[k]``, the estimate of P(arm k
+    has the largest mean norm), is arm k's count divided by
+    ``mc_samples``, so the vector sums to one by construction.
     """
     K = len(all_params)
     if K < 2:
@@ -270,4 +252,4 @@ def estimate_rho(all_params, mc_samples: int,
     t = np.array([q.t for q in all_params], dtype=np.float64)
     xbar = np.array([q.xbar for q in all_params])
     counts = _rho_counts(z, S, t, xbar, M, rng)
-    return OptimalityBelief(counts / M, M)
+    return counts / M

@@ -19,9 +19,8 @@ none, never a partial one.
 
 ``RunReport.outputs[i]`` is a :class:`ReplicationOut` that carries its
 recorded rounds as columns, one array each: ``t``, ``regret_step``,
-``regret_cum`` and, in gain mode, ``beta_hat`` and ``k_hat``.  Its ``rows``
-property is a view derived from them, a list of :class:`TraceRow` built on
-each access; the runner itself never builds it.
+``regret_cum`` and, in gain mode, ``beta_hat`` and ``k_hat``.  These columns
+are the one in-memory form of a trace; the CSV is written from them.
 """
 
 import json
@@ -54,19 +53,6 @@ from .policies import (
 from .sysid import gain_estimate, grid_from_fir
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One recorded round of one replication."""
-
-    policy: str
-    replication: int
-    t: int
-    regret_step: float
-    regret_cum: float
-    beta_hat: float | None = None
-    k_hat: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ReplicationOut:
     """Everything one task reports back.
@@ -93,13 +79,6 @@ class ReplicationOut:
         if self.beta_hat is not None:
             cols += [self.beta_hat, self.k_hat]
         return cols
-
-    @property
-    def rows(self) -> list:
-        """The recorded rounds as :class:`TraceRow` objects, built on each
-        access from the columns."""
-        return [TraceRow(self.policy, self.replication, *vals)
-                for vals in zip(*(c.tolist() for c in self.columns()))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,16 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BanditInstance, PowerProfile, new_instance
-from .errors import (
-    DimensionMismatch,
-    NoData,
-    TiedPeak,
-    TooFewArms,
-    ZeroNoiseBin,
-)
-
-# two bins tie when their gains differ by no more than this
-PEAK_TIE_TOL = 1e-12
+from .errors import DimensionMismatch, NoData, TooFewArms
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,24 +89,14 @@ def freq_response(coeffs, omegas) -> np.ndarray:
 def grid_from_fir(g_coeffs, h_coeffs, K: int) -> GainProblem:
     """Build the bandit view of FIR system ``g`` under FIR noise shaping ``h``.
 
-    Arm means are [Re G, Im G] at each bin, variances |H|^2.  Fails when the
-    noise response vanishes at a bin or when two bins tie for the largest
-    gain within ``PEAK_TIE_TOL``.
+    Arm means are [Re G, Im G] at each bin, variances |H|^2.  The failures
+    are those of :func:`spreadbandits.core.new_instance`: fewer than two
+    bins, a noise response that vanishes at a bin, or a top-two gain tie.
     """
-    if int(K) < 2:
-        raise TooFewArms(f"need at least 2 bins, got {K}")
     grid = FrequencyGrid(int(K))
     g_resp = freq_response(g_coeffs, grid.omegas)
     h_resp = freq_response(h_coeffs, grid.omegas)
     noise = np.abs(h_resp)
-    if np.any(noise <= 0.0):
-        raise ZeroNoiseBin("noise response vanishes at a grid frequency")
-    gain = np.abs(g_resp)
-    order = np.argsort(gain)
-    if gain[order[-1]] - gain[order[-2]] <= PEAK_TIE_TOL:
-        raise TiedPeak(
-            f"largest gains tie within {PEAK_TIE_TOL}: "
-            f"bins {order[-1]} and {order[-2]}")
     means = np.column_stack([g_resp.real, g_resp.imag])
     instance = new_instance(means, noise * noise)
     return GainProblem(grid, g_resp, h_resp, instance)

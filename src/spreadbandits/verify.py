@@ -5,11 +5,9 @@ at a moderate Monte Carlo size and reports pass/fail with the observed
 statistic.  The whole suite is deterministic given its seed.  These checks
 are the one implementation of the properties they test: the acceptance
 tests in ``tests/test_acceptance.py`` call them on their own fixed seeds
-rather than re-deriving the same identities.  The
-``sigma2_scale`` knob deliberately corrupts the simulated variance in the
-chi-square law check (and only there); anything but 1.0 must make that
-check fail, which is itself exercised by the test suite as a sensitivity
-control.
+rather than re-deriving the same identities.  :func:`check_chi2_law` can
+corrupt its simulated variance, a sensitivity control for the test suite;
+:func:`run_verification` never does.
 """
 
 import math
@@ -25,7 +23,7 @@ from .bounds import (
     mean_exceedance,
     variance_tail_bound,
 )
-from .config import RunConfig
+from .config import RunConfig, check_run_fields
 from .core import (
     ArmStats,
     PowerProfile,
@@ -41,10 +39,7 @@ from .policies import (
     WTS,
     make_policy,
     observe,
-    oracle_step,
     policy_step,
-    ts_step,
-    wts_step,
 )
 from .posterior import (
     PosteriorParams,
@@ -144,7 +139,11 @@ def check_mean_law(rng) -> CheckResult:
 
 
 def check_chi2_law(rng, sigma2_scale: float = 1.0) -> CheckResult:
-    """2 S / sigma^2 follows a chi-square with 2(t-1) degrees of freedom."""
+    """2 S / sigma^2 follows a chi-square with 2(t-1) degrees of freedom.
+
+    ``sigma2_scale`` scales the simulated variance away from the one the
+    law is tested with; anything but 1.0 must make the check fail.
+    """
     mu = np.array([0.3, 0.9])
     sigma2 = 0.8
     powers = [1.0, 0.4, 0.9, 0.2, 0.65, 1.0, 0.5, 0.35]  # t = 8 -> dof 14
@@ -318,8 +317,8 @@ def check_rho_symmetry(rng) -> CheckResult:
     M = 4096
     params = [PosteriorParams(2.0, np.array([1.0, 0.5]), 1.2, 7)
               for _ in range(4)]
-    belief = estimate_rho(params, M, rng)
-    dev = float(np.max(np.abs(belief.rho - 0.25)))
+    rho = estimate_rho(params, M, rng)
+    dev = float(np.max(np.abs(rho - 0.25)))
     thr = 3.0 / math.sqrt(M)
     return _result("rho-uniform-symmetry", dev <= thr,
                    f"max |rho - 1/4| {dev:.4f}", f"<= {thr:.4f}")
@@ -339,7 +338,7 @@ def check_rho_consistency(rng) -> CheckResult:
     for _ in range(8):
         a = estimate_rho(params, M, rng)
         b = estimate_rho(params, 10 * M, rng)
-        dev = max(dev, float(np.max(np.abs(a.rho - b.rho))))
+        dev = max(dev, float(np.max(np.abs(a - b))))
     thr = 5.0 / math.sqrt(M)
     return _result("rho-consistency", dev < thr, f"sup dev {dev:.4f}",
                    f"< {thr:.4f}")
@@ -374,7 +373,7 @@ def check_warmup_and_floor() -> CheckResult:
     uniform_ok = True
     min_power = 1.0
     for t in range(1, 51):
-        profile = wts_step(state, rng_pol)
+        profile = policy_step(state, rng_pol)
         if t <= 3:
             uniform_ok &= bool(np.all(profile.p == 1.0 / 3.0))
         min_power = min(min_power, float(profile.p.min()))
@@ -393,11 +392,10 @@ def check_one_hot_baselines() -> CheckResult:
         state, _ = _play(instance, kind, 60, seed=7)
         rng_pol = rng_streams.stream(8, 92, 0, rng_streams.POLICY)
         for _ in range(5):
-            p = (oracle_step(state) if kind == ORACLE
-                 else ts_step(state, rng_pol)).p
+            p = policy_step(state, rng_pol).p
             ok &= p.max() == 1.0 and p.sum() == 1.0
     state, _ = _play(instance, ORACLE, 30, seed=9)
-    ok &= oracle_step(state).p[instance.k_star] == 1.0
+    ok &= policy_step(state, rng_pol).p[instance.k_star] == 1.0
     return _result("one-hot-baselines", ok, "profiles one-hot", "one-hot")
 
 
@@ -548,15 +546,18 @@ def check_gain_noiseless() -> CheckResult:
 
 # ---------------------------------------------------------------------------
 
-def run_verification(seed: int = 0, sigma2_scale: float = 1.0) -> list:
-    """Run every check; returns the list of :class:`CheckResult`."""
+def run_verification(seed: int = 0) -> list:
+    """Run every check; returns the list of :class:`CheckResult`.  ``seed``
+    must be an integer >= 0, as in a config's ``[run]`` section."""
+    check_run_fields({"seed": seed})
+
     def fresh(i):
         return rng_streams.stream(seed, 1000 + i)
 
     checks = [
         check_batch_equivalence(fresh(0)),
         check_mean_law(fresh(1)),
-        check_chi2_law(fresh(2), sigma2_scale),
+        check_chi2_law(fresh(2)),
         check_independence(fresh(3)),
         check_exceedance(fresh(4)),
         check_scatter_tail_bound(fresh(5)),

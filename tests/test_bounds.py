@@ -23,7 +23,6 @@ from spreadbandits.errors import (
     OddDof,
     NegativeX,
 )
-from spreadbandits.verify import check_bound_ordering
 
 
 class TestH:
@@ -168,9 +167,6 @@ class TestLowerBoundConstants:
         assert abs(c.spreading_unknown - 1.0) <= 1e-12
         assert abs(c.ns_unknown - 1.0 / math.log(2.0)) <= 1e-12
         assert c.spreading_known == c.spreading_unknown == c.ns_known
-
-    def test_ns_dominates_spreading(self):
-        assert check_bound_ordering(np.random.default_rng(12)).passed
 
     def test_variance_scaling(self):
         # scaling every sigma^2 by c scales the known-variance constant by c

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from spreadbandits import cli
 from spreadbandits.cli import main
+from spreadbandits.verify import CheckResult
 
 
 def write(tmp_path, name, text):
@@ -101,6 +103,11 @@ T = 25
         assert main(["simulate", "--config", bad]) == 2
         assert "T" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, sim_cfg, capsys):
+        assert main(["simulate", "--config", sim_cfg, "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestGain:
     def test_writes_gain_columns(self, tmp_path, gain_cfg, capsys):
@@ -111,25 +118,50 @@ class TestGain:
         assert side["config"]["K"] == 3
 
 
-# module-scoped: the full suite is expensive, run it once
-@pytest.fixture(scope="module")
-def verify_run():
-    import contextlib
-    import io
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["verify"])
-    return code, buf.getvalue()
+def fake_suite(monkeypatch, *passed):
+    """Replace the check suite with one canned result per entry of
+    ``passed``; returns the list of seeds it is called with."""
+    seeds = []
+
+    def fake(seed):
+        seeds.append(seed)
+        return [CheckResult(f"check-{i}", ok, f"obs {i}", f"req {i}")
+                for i, ok in enumerate(passed)]
+
+    monkeypatch.setattr(cli, "run_verification", fake)
+    return seeds
 
 
 class TestVerify:
-    def test_exit_zero_and_report(self, verify_run):
-        code, out = verify_run
-        assert code == 0
-        assert "FAIL" not in out
-        lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
-        assert len(lines) == 22
-        assert "22 checks: 22 passed, 0 failed" in out
+    def test_exit_zero_and_report(self, monkeypatch, capsys):
+        seeds = fake_suite(monkeypatch, True, True)
+        assert main(["verify"]) == 0
+        assert seeds == [0]
+        assert capsys.readouterr().out.splitlines() == [
+            f"PASS {'check-0':<32} obs 0 (require req 0)",
+            f"PASS {'check-1':<32} obs 1 (require req 1)",
+            "2 checks: 2 passed, 0 failed (seed 0)"]
+
+    def test_exit_one_on_failing_check(self, monkeypatch, capsys):
+        fake_suite(monkeypatch, True, False)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {'check-1':<32} obs 1 (require req 1)" in out
+        assert "2 checks: 1 passed, 1 failed (seed 0)" in out
+
+    def test_seed_forwarded(self, monkeypatch, tmp_path, capsys):
+        seeds = fake_suite(monkeypatch, True)
+        cfg = write(tmp_path, "verify.cfg", "[run]\nmode = verify\nseed = 5\n")
+        assert main(["verify", "--seed", "7"]) == 0
+        assert main(["verify", "--config", cfg]) == 0
+        assert main(["verify", "--config", cfg, "--seed", "9"]) == 0
+        assert seeds == [7, 5, 9]
+        assert "(seed 9)" in capsys.readouterr().out
+
+    def test_negative_seed_rejected(self, capsys):
+        # the real suite, which checks its seed before running any check
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_config_must_be_verify_mode(self, tmp_path, sim_cfg, capsys):
         assert main(["verify", "--config", sim_cfg]) == 2

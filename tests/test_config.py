@@ -88,6 +88,9 @@ class TestValidationErrors:
     def test_small_horizon_names_bound(self):
         self.assert_names(SIMULATE.replace("T = 100", "T = 3"), "T")
 
+    def test_negative_seed_names_field(self):
+        self.assert_names(SIMULATE + "seed = -1\n", "seed")
+
     def test_missing_mode(self):
         self.assert_names("[run]\nT = 10\n", "mode")
 

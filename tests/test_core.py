@@ -87,17 +87,6 @@ class TestBanditInstance:
         assert inst.norms[0] == pytest.approx(5e150)
         assert np.all(np.isfinite(inst.gaps))
 
-    def test_rotation_leaves_gaps_and_kstar(self):
-        means = np.array([[2.0, 1.0], [-1.0, 0.5], [0.3, -1.7]])
-        var = [1.0, 0.5, 2.0]
-        phi = 0.77
-        rot = np.array([[np.cos(phi), -np.sin(phi)],
-                        [np.sin(phi), np.cos(phi)]])
-        a = new_instance(means, var)
-        b = new_instance(means @ rot.T, var)
-        assert a.k_star == b.k_star
-        assert np.allclose(a.gaps, b.gaps, atol=1e-12)
-
 
 class TestPowerProfile:
     def test_uniform(self):

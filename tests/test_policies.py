@@ -15,9 +15,9 @@ from spreadbandits import (
 )
 from spreadbandits.core import ArmStats
 from spreadbandits.errors import (
+    DimensionMismatch,
     InsufficientData,
     MissingObservation,
-    ProfileMismatch,
     WrongKind,
 )
 from spreadbandits.policies import (
@@ -26,10 +26,6 @@ from spreadbandits.policies import (
     TS_KNOWN_WARMUP_PASSES,
     TS_UNKNOWN_WARMUP_PASSES,
     WTS_WARMUP_ROUNDS,
-    oracle_step,
-    ts_step,
-    uniform_step,
-    wts_step,
 )
 
 
@@ -111,12 +107,7 @@ class TestWts:
         # state must fail loudly rather than emit NaN power
         st = PolicyState("wts", 3, round=4, mc_samples=16)
         with pytest.raises(InsufficientData):
-            wts_step(st, np.random.default_rng(0))
-
-    def test_wrong_kind_dispatch(self):
-        st = make_policy("uniform", instance())
-        with pytest.raises(WrongKind):
-            wts_step(st, np.random.default_rng(0))
+            policy_step(st, np.random.default_rng(0))
 
 
 class TestTsBaselines:
@@ -156,12 +147,7 @@ class TestTsBaselines:
         # stats with too few one-hot observations cannot be sampled from
         st = PolicyState("ts_unknown", 2, round=7)
         with pytest.raises(InsufficientData):
-            ts_step(st, np.random.default_rng(0))
-
-    def test_wrong_kind_dispatch(self):
-        st = make_policy("wts", instance())
-        with pytest.raises(WrongKind):
-            ts_step(st, np.random.default_rng(0))
+            policy_step(st, np.random.default_rng(0))
 
 
 class TestFixedBaselines:
@@ -181,12 +167,6 @@ class TestFixedBaselines:
         prof = play_rounds(st, inst, rng, 5)
         np.testing.assert_array_equal(prof.p, np.full(4, 0.25))
 
-    def test_wrong_kind_dispatch(self):
-        with pytest.raises(WrongKind):
-            oracle_step(make_policy("uniform", instance()))
-        with pytest.raises(WrongKind):
-            uniform_step(make_policy("oracle", instance()))
-
 
 class TestObserve:
     def test_round_increments(self):
@@ -201,7 +181,7 @@ class TestObserve:
     def test_profile_length_checked(self):
         st = make_policy("uniform", instance())
         bad = PowerProfile.uniform(3)
-        with pytest.raises(ProfileMismatch):
+        with pytest.raises(DimensionMismatch):
             observe(st, bad, Outcome([None] * 4))
 
     @pytest.mark.parametrize("p", [[0.5, 0.0, 0.3, 0.2],
@@ -231,7 +211,7 @@ class TestObserve:
 
     def test_outcome_length_checked(self):
         st = make_policy("uniform", instance())
-        with pytest.raises(ProfileMismatch):
+        with pytest.raises(DimensionMismatch):
             observe(st, PowerProfile.uniform(4), Outcome([None] * 3))
 
 

@@ -8,7 +8,6 @@ import scipy.integrate
 import scipy.stats
 
 from spreadbandits import (
-    OptimalityBelief,
     PosteriorParams,
     estimate_rho,
     posterior_density,
@@ -17,7 +16,6 @@ from spreadbandits import (
 )
 from spreadbandits.errors import InvalidParams, TooFewArms, ZeroSamples
 from spreadbandits.posterior import _rho_counts
-from spreadbandits.verify import check_rho_consistency
 
 
 def params(z=1.0, xbar=(0.0, 0.0), S=1.0, t=4):
@@ -92,13 +90,6 @@ class TestRadialTail:
         with pytest.raises(InvalidParams):
             posterior_radial_tail(params(), -0.1)
 
-    def test_monotone_directions(self):
-        at = 0.9
-        base = float(posterior_radial_tail(params(2.0, S=1.0, t=6), at))
-        assert float(posterior_radial_tail(params(4.0, S=1.0, t=6), at)) < base
-        assert float(posterior_radial_tail(params(2.0, S=2.0, t=6), at)) > base
-        assert float(posterior_radial_tail(params(2.0, S=1.0, t=9), at)) < base
-
 
 class _HalfRng:
     """Stub stream whose uniforms are all 1/2."""
@@ -119,12 +110,6 @@ class TestSampler:
         assert sample_posterior(params(), rng, size=5).shape == (5, 2)
         with pytest.raises(InvalidParams):
             sample_posterior(params(), rng, size=0)
-
-    def test_median_radius(self):
-        rng = np.random.default_rng(4)
-        draws = sample_posterior(params(), rng, size=100000)
-        frac = float((np.hypot(draws[:, 0], draws[:, 1]) >= 1.0).mean())
-        assert abs(frac - 0.5) < 0.005
 
     def test_radius_distribution_ks(self):
         # independent oracle: KS test against the closed-form radial CDF
@@ -153,23 +138,19 @@ class TestEstimateRho:
     def test_concentrated_wins_outright(self):
         far = params(1e6, (100.0, 0.0), 1e-6, 100)
         near = params(1e6, (1.0, 0.0), 1e-6, 100)
-        belief = estimate_rho([far, near], 1000, np.random.default_rng(7))
-        assert belief.rho.tolist() == [1.0, 0.0]
-        assert belief.samples_used == 1000
+        rho = estimate_rho([far, near], 1000, np.random.default_rng(7))
+        assert rho.tolist() == [1.0, 0.0]
 
     def test_identical_arms_split_evenly(self):
         q = [params(2.0, (1.0, 0.5), 1.2, 7) for _ in range(2)]
-        belief = estimate_rho(q, 100000, np.random.default_rng(8))
-        assert abs(belief.rho[0] - 0.5) < 0.01
+        rho = estimate_rho(q, 100000, np.random.default_rng(8))
+        assert abs(rho[0] - 0.5) < 0.01
 
     def test_sums_to_one_exactly(self):
         q = [params(1.0 + k, (0.5 * k, 0.1), 1.0, 6) for k in range(4)]
-        belief = estimate_rho(q, 999, np.random.default_rng(9))
-        assert belief.rho.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(belief.rho >= 0.0)
-
-    def test_consistency_between_sample_sizes(self):
-        assert check_rho_consistency(np.random.default_rng(10)).passed
+        rho = estimate_rho(q, 999, np.random.default_rng(9))
+        assert rho.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(rho >= 0.0)
 
     def test_zero_samples_rejected(self):
         q = [params(), params()]
@@ -282,15 +263,3 @@ class TestRhoLaw:
             p = scipy.stats.chi2_contingency(np.array([ref, got])).pvalue
             assert p > 1e-3, f"{name}: p={p:.2e}, {ref} vs {got}"
 
-
-class TestOptimalityBelief:
-    def test_probability_vector_enforced(self):
-        with pytest.raises(InvalidParams):
-            OptimalityBelief(np.array([0.6, 0.6]), 10)
-        with pytest.raises(InvalidParams):
-            OptimalityBelief(np.array([-0.1, 1.1]), 10)
-
-    def test_fields(self):
-        b = OptimalityBelief(np.array([0.25, 0.75]), 64)
-        assert b.samples_used == 64
-        assert b.rho.tolist() == [0.25, 0.75]

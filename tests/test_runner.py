@@ -192,8 +192,8 @@ class TestReplication:
     def test_final_cum_matches_rows(self, tmp_path):
         cfg = sim_config(tmp_path)
         out = run_replication(cfg, "uniform", 2)
-        assert out.rows[-1].regret_cum == pytest.approx(out.final_cum)
-        assert out.rows[-1].t == 40
+        assert out.regret_cum[-1] == pytest.approx(out.final_cum)
+        assert out.t[-1] == 40
 
     def test_error_context(self, tmp_path, monkeypatch):
         from spreadbandits.policies import _choose
@@ -225,7 +225,8 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("T", 3), ("T", 0), ("replications", 0), ("mc_samples", 0),
-        ("thin", 0), ("thin", -1), ("thin", 2.5)])
+        ("thin", 0), ("thin", -1), ("thin", 2.5), ("seed", -1),
+        ("seed", 2.5)])
     def test_run_fields_checked_at_boundary(self, tmp_path, field, value):
         cfg = sim_config(tmp_path, **{field: value})
         with pytest.raises(ValidationError, match=field):
@@ -233,20 +234,22 @@ class TestRunValidation:
         assert not list(tmp_path.iterdir())
 
 
-def reference_write_csv(path, rows, gain_mode):
-    """The per-row writer the columnar one replaced, kept as its oracle."""
+def reference_write_csv(path, outputs, gain_mode):
+    """The per-row writer the block writer replaced, kept as its oracle."""
     header = "policy,replication,t,regret_step,regret_cum"
     if gain_mode:
         header += ",beta_hat,k_hat"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for r in rows:
-            line = (f"{r.policy},{r.replication},{r.t},"
-                    f"{format(r.regret_step, '.17g')},"
-                    f"{format(r.regret_cum, '.17g')}")
-            if gain_mode:
-                line += f",{format(r.beta_hat, '.17g')},{r.k_hat}"
-            fh.write(line + "\n")
+        for o in outputs:
+            for i in range(len(o.t)):
+                line = (f"{o.policy},{o.replication},{int(o.t[i])},"
+                        f"{format(float(o.regret_step[i]), '.17g')},"
+                        f"{format(float(o.regret_cum[i]), '.17g')}")
+                if gain_mode:
+                    line += (f",{format(float(o.beta_hat[i]), '.17g')},"
+                             f"{int(o.k_hat[i])}")
+                fh.write(line + "\n")
 
 
 AWKWARD = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
@@ -277,8 +280,7 @@ class TestCsvWriter:
     def test_bytes_match_reference_writer(self, tmp_path, gain_mode):
         outs = hand_built_outputs(gain_mode)
         runner_mod._write_csv(str(tmp_path / "new.csv"), outs, gain_mode)
-        reference_write_csv(str(tmp_path / "ref.csv"),
-                            [r for o in outs for r in o.rows], gain_mode)
+        reference_write_csv(str(tmp_path / "ref.csv"), outs, gain_mode)
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert len(new.splitlines()) == 1 + 4 * len(AWKWARD)
@@ -330,20 +332,12 @@ class TestColumns:
         assert out.t[-1] == cfg.T
         assert out.regret_cum[-1] == out.final_cum
         assert out.beta_hat is None and out.k_hat is None
-        assert out.rows == [
-            runner_mod.TraceRow("uniform", 0, int(t), float(s), float(c))
-            for t, s, c in zip(out.t, out.regret_step, out.regret_cum)]
 
     def test_gain_layout(self, tmp_path):
         out = run_replication(gain_config(tmp_path, thin=7), "wts", 1)
         assert out.beta_hat.dtype == np.float64
         assert out.k_hat.dtype == np.int64
         assert out.beta_hat.shape == out.k_hat.shape == out.t.shape == (5,)
-        assert out.rows == [
-            runner_mod.TraceRow("wts", 1, int(t), float(s), float(c),
-                                float(b), int(k))
-            for t, s, c, b, k in zip(out.t, out.regret_step, out.regret_cum,
-                                     out.beta_hat, out.k_hat)]
 
     def test_pickled_size_per_row(self, tmp_path):
         # a task sends its rows back to the parent by pickle: three

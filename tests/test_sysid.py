@@ -13,15 +13,13 @@ from spreadbandits import (
     sample_outcome,
     synth_multisine,
 )
-from spreadbandits.core import ArmStats
 from spreadbandits.errors import (
     DimensionMismatch,
     NoData,
-    TiedPeak,
+    NonPositiveVariance,
+    TiedOptimum,
     TooFewArms,
-    ZeroNoiseBin,
 )
-from spreadbandits.verify import check_gain_mse_slope
 
 
 class TestFrequencyGrid:
@@ -70,11 +68,11 @@ class TestFreqResponse:
 
 class TestGridFromFir:
     def test_flat_gain_ties(self):
-        with pytest.raises(TiedPeak):
+        with pytest.raises(TiedOptimum):
             grid_from_fir([1.0], [1.0], 4)
 
     def test_zero_noise_rejected(self):
-        with pytest.raises(ZeroNoiseBin):
+        with pytest.raises(NonPositiveVariance):
             grid_from_fir([0.5, 0.5], [0.0], 4)
 
     def test_needs_two_bins(self):
@@ -190,27 +188,6 @@ class TestGainEstimate:
             gain_estimate(np.zeros(2), np.zeros((2, 2)), 1)
         with pytest.raises(NoData):
             gain_estimate(np.zeros(0), np.zeros((0, 2)), 0)
-
-    def test_noiseless_recovery(self):
-        # nearly noiseless measurements pin beta_hat to the true peak gain
-        prob = grid_from_fir([0.5, 0.5], [1e-6], 4)
-        prof = PowerProfile.one_hot(4, prob.peak_bin)
-        rng = np.random.default_rng(19)
-        per = [ArmStats() for _ in range(4)]
-        for t in range(10):
-            out = sample_outcome(prob.instance, prof, rng)
-            for k in range(4):
-                per[k].update(prof.p[k], out.values[k])
-        z = np.array([st.z for st in per])
-        xbar = np.array([st.xbar for st in per])
-        est = gain_estimate(z, xbar, 10)
-        assert est.k_hat == prob.peak_bin
-        assert abs(est.beta_hat - prob.peak_gain) < 1e-4
-
-    def test_mse_decays_linearly(self):
-        # averaging the peak bin for t rounds gives MSE ~ |H|^2 / t:
-        # slope of log MSE vs log t in [-1.2, -0.8]
-        assert check_gain_mse_slope(np.random.default_rng(20)).passed
 
     def test_estimate_fields(self):
         est = GainEstimate(beta_hat=1.5, k_hat=2, t=9)

@@ -47,13 +47,6 @@ def test_suite_detects_corrupted_variance_law():
     assert good.passed
 
 
-def test_corruption_localized():
-    results = run_verification(seed=0, sigma2_scale=2.0)
-    failing = {r.name for r in results if not r.passed}
-    assert len(failing) == 1
-    assert not all_passed(results)
-
-
 @pytest.mark.parametrize("seed", [8, 10, 11, 12])
 def test_rotation_invariance_at_rounding_level(seed):
     # seeds whose deviations exceeded the former absolute 1e-12 tolerance
