@@ -27,18 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NegativeX,
-    NonPositiveArgument,
-    OddDof,
-)
+from .errors import DimensionMismatch, InvalidParams
 from .core import BanditInstance, PowerProfile
 
 def h(x: float) -> float:
     """Cramer rate ``x - log(1 + x)`` of the scatter tail, for x > 0."""
     if x <= 0.0:
-        raise NonPositiveArgument(f"h needs x > 0, got {x}")
+        raise InvalidParams(f"h needs x > 0, got {x}")
     # log1p keeps the x -> 0 limit (x^2/2) accurate
     return x - math.log1p(x)
 
@@ -46,7 +41,7 @@ def h(x: float) -> float:
 def mean_exceedance(z: float, sigma2: float, eps: float) -> float:
     """Exact P(|xbar - mu| >= eps) given cumulative power z: exp(-z eps^2/sigma^2)."""
     if z <= 0.0 or sigma2 <= 0.0 or eps <= 0.0:
-        raise NonPositiveArgument(
+        raise InvalidParams(
             f"z, sigma2, eps must be > 0, got ({z}, {sigma2}, {eps})")
     return math.exp(-z * eps * eps / sigma2)
 
@@ -55,7 +50,7 @@ def variance_tail_bound(t: int, sigma2: float, eps: float) -> float:
     """Upper bound exp(-t h(eps/sigma^2)) on P(S(t) >= t (sigma^2 + eps))."""
     t = int(t)
     if t < 1 or sigma2 <= 0.0 or eps <= 0.0:
-        raise NonPositiveArgument(
+        raise InvalidParams(
             f"t, sigma2, eps must be > 0, got ({t}, {sigma2}, {eps})")
     return math.exp(-t * h(eps / sigma2))
 
@@ -69,10 +64,10 @@ def chi2_cdf_even(dof: int, x):
     """
     dof = int(dof)
     if dof < 2 or dof % 2 != 0:
-        raise OddDof(f"need a positive even dof, got {dof}")
+        raise InvalidParams(f"need a positive even dof, got {dof}")
     xa = np.asarray(x, dtype=np.float64)
     if np.any(xa < 0.0):
-        raise NegativeX("chi-square CDF evaluated at x < 0")
+        raise InvalidParams("chi-square CDF evaluated at x < 0")
     half = xa / 2.0
     term = np.exp(-half)
     acc = term.copy() if term.ndim else np.asarray(term)

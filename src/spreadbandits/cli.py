@@ -13,7 +13,7 @@ statistical self-check suite and exits nonzero if any check fails.
 import argparse
 import sys
 
-from .config import load_config
+from .config import RunConfig, load_config
 from .errors import BanditError, ValidationError
 from .runner import run
 from .verify import all_passed, run_verification
@@ -43,12 +43,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.mode != args.command:
+def _load(path: str, command: str) -> RunConfig:
+    """The config at ``path``, which must be written for ``command``."""
+    cfg = load_config(path)
+    if cfg.mode != command:
         raise ValidationError(
-            f"config mode is {cfg.mode!r} but the {args.command!r} command "
+            f"config mode is {cfg.mode!r} but the {command!r} command "
             f"was invoked")
+    return cfg
+
+
+def _cmd_run(args) -> int:
+    cfg = _load(args.config, args.command)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -63,11 +69,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     seed = 0
     if args.config is not None:
-        cfg = load_config(args.config)
-        if cfg.mode != "verify":
-            raise ValidationError(
-                f"config mode is {cfg.mode!r} but 'verify' was invoked")
-        seed = cfg.seed
+        seed = _load(args.config, "verify").seed
     if args.seed is not None:
         seed = args.seed
     results = run_verification(seed=seed)

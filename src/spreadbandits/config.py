@@ -20,99 +20,127 @@ Unknown sections or keys are errors, never ignored.  ``mode`` selects
 ``simulate`` (needs ``[instance]``), ``gain`` (needs ``[gain]`` with
 ``g_coeffs``, ``h_coeffs``, ``K``), or ``verify`` (needs neither).  ``out``
 is a path prefix: the runner writes ``<out>.csv`` and ``<out>.json``.
+
+A :class:`RunConfig` is valid by construction: its ``__post_init__`` checks
+every run rule, so a config built in Python, or changed with
+:meth:`RunConfig.replaced`, meets the same rules as one read from a file.
+:func:`parse_config` turns the text into typed fields and checks that
+the instance or problem they describe can be built.
 """
 
 import ast
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .core import new_instance
 from .errors import BanditError, ParseError, ValidationError
 from .policies import KINDS
+from .sysid import grid_from_fir
 
 MODES = ("simulate", "gain", "verify")
+# the section each mode reads besides [run]
+MODE_SECTION = {"simulate": "instance", "gain": "gain", "verify": None}
 
-_INSTANCE_KEYS = {"means", "variances"}
-_RUN_KEYS = {"mode", "T", "replications", "seed", "policies", "mc_samples",
-             "thin", "out"}
-_GAIN_KEYS = {"g_coeffs", "h_coeffs", "K"}
+# smallest accepted value of each integer field
+_MINIMA = {"T": 4, "replications": 1, "seed": 0, "mc_samples": 1, "thin": 1,
+           "K": 2}
 
-DEFAULT_REPLICATIONS = 1
-DEFAULT_MC_SAMPLES = 1024
-DEFAULT_THIN = 1
-DEFAULT_SEED = 0
-DEFAULT_OUT = "trace"
-DEFAULT_POLICIES = ("wts",)
 
-# smallest accepted value of each integer run field
-_RUN_MINIMA = {"T": 4, "replications": 1, "seed": 0, "mc_samples": 1,
-               "thin": 1}
+def _in(section: str):
+    """A field of config section ``section``, unset by default."""
+    return field(default=None, metadata={"section": section})
 
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated contents of a config file."""
+    """A run description, checked in full when it is built.
+
+    ``means`` and ``variances`` come from the ``[instance]`` section,
+    ``g_coeffs``, ``h_coeffs`` and ``K`` from ``[gain]``, the rest from
+    ``[run]``.  ``__post_init__`` raises :class:`ValidationError`, naming
+    the field, on any rule a config file must meet.
+    """
 
     mode: str
     T: int | None = None
-    replications: int = DEFAULT_REPLICATIONS
-    seed: int = DEFAULT_SEED
-    policies: tuple = DEFAULT_POLICIES
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    thin: int = DEFAULT_THIN
-    out: str = DEFAULT_OUT
-    means: np.ndarray | None = None
-    variances: np.ndarray | None = None
-    g_coeffs: np.ndarray | None = None
-    h_coeffs: np.ndarray | None = None
-    K: int | None = None
+    replications: int = 1
+    seed: int = 0
+    policies: tuple = ("wts",)
+    mc_samples: int = 1024
+    thin: int = 1
+    out: str = "trace"
+    means: np.ndarray | None = _in("instance")
+    variances: np.ndarray | None = _in("instance")
+    g_coeffs: np.ndarray | None = _in("gain")
+    h_coeffs: np.ndarray | None = _in("gain")
+    K: int | None = _in("gain")
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValidationError(f"mode: expected one of {', '.join(MODES)}, "
+                                  f"got {self.mode!r}")
+        for key, low in _MINIMA.items():
+            val = getattr(self, key)
+            if val is None:
+                continue
+            if not isinstance(val, (int, np.integer)):
+                raise ValidationError(
+                    f"{key}: expected an integer, got {val!r}")
+            if val < low:
+                raise ValidationError(f"{key}: must be >= {low}, got {val}")
+        if not self.policies:
+            raise ValidationError("policies: empty list")
+        for name in self.policies:
+            if name not in KINDS:
+                raise ValidationError(
+                    f"policies: unknown policy {name!r} "
+                    f"(known: {', '.join(KINDS)})")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValidationError("policies: duplicate entries")
+        if not self.out:
+            raise ValidationError("out: empty path")
+        used = MODE_SECTION[self.mode]
+        if used is not None and self.T is None:
+            raise ValidationError(f"T: required in {self.mode} mode")
+        for f in fields(self):
+            section = f.metadata.get("section")
+            if section is None:
+                continue
+            if section == used and getattr(self, f.name) is None:
+                raise ValidationError(f"{f.name}: required in {self.mode} "
+                                      f"mode, in the [{section}] section")
+            if section != used and getattr(self, f.name) is not None:
+                raise ValidationError(f"{f.name}: not used in {self.mode} "
+                                      f"mode")
 
     def replaced(self, **kw) -> "RunConfig":
-        vals = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        vals.update(kw)
-        return RunConfig(**vals)
+        """A copy with the fields in ``kw`` changed, checked like any
+        other config."""
+        return replace(self, **kw)
 
     def to_dict(self) -> dict:
         """Plain-JSON echo of every configured field."""
-        d = {
-            "mode": self.mode,
-            "T": self.T,
-            "replications": self.replications,
-            "seed": self.seed,
-            "policies": list(self.policies),
-            "mc_samples": self.mc_samples,
-            "thin": self.thin,
-            "out": self.out,
-        }
-        if self.means is not None:
-            d["means"] = self.means.tolist()
-            d["variances"] = self.variances.tolist()
-        if self.g_coeffs is not None:
-            d["g_coeffs"] = self.g_coeffs.tolist()
-            d["h_coeffs"] = self.h_coeffs.tolist()
-            d["K"] = self.K
+        d = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is None and "section" in f.metadata:
+                continue
+            if isinstance(val, (np.ndarray, np.integer)):
+                val = val.tolist()
+            elif isinstance(val, tuple):
+                val = list(val)
+            d[f.name] = val
         return d
 
 
-def check_run_fields(fields: dict) -> None:
-    """Reject run fields that are not integers at or above their minimum.
-
-    ``parse_config`` and ``run`` both call this, so a config built in
-    Python meets the same rules as one read from a file;
-    ``run_verification`` checks its seed with it too.  Absent (``None``)
-    fields are skipped.
-    """
-    for key, low in _RUN_MINIMA.items():
-        val = fields.get(key)
-        if val is None:
-            continue
-        if not isinstance(val, (int, np.integer)):
-            raise ValidationError(
-                f"[run] {key}: expected an integer, got {val!r}")
-        if val < low:
-            raise ValidationError(f"[run] {key}: must be >= {low}, got {val}")
+def build_instance(cfg: RunConfig):
+    """The bandit instance of a simulate or gain config."""
+    if cfg.mode == "gain":
+        return grid_from_fir(cfg.g_coeffs, cfg.h_coeffs, cfg.K).instance
+    return new_instance(cfg.means, cfg.variances)
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -123,52 +151,22 @@ def _parse_int(section: str, key: str, raw: str) -> int:
             f"[{section}] {key}: expected an integer, got {raw!r}") from None
 
 
-def _parse_floats(section: str, key: str, raw: str) -> np.ndarray:
+def _parse_array(section: str, key: str, raw: str) -> np.ndarray:
+    """A nonempty list of numbers; ``means`` is a list of pairs."""
+    ndim = 2 if key == "means" else 1
     try:
-        val = ast.literal_eval(raw.strip())
-        arr = np.asarray(val, dtype=np.float64)
+        arr = np.asarray(ast.literal_eval(raw.strip()), dtype=np.float64)
     except (ValueError, SyntaxError, TypeError):
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.size == 0:
+        kind = "a nested list" if ndim == 2 else "a nonempty flat list"
         raise ValidationError(
-            f"[{section}] {key}: expected a list of numbers, got {raw!r}"
-        ) from None
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValidationError(
-            f"[{section}] {key}: expected a nonempty flat list, got {raw!r}")
+            f"[{section}] {key}: expected {kind} of numbers, got {raw!r}")
     return arr
-
-
-def _parse_means(raw: str) -> np.ndarray:
-    try:
-        val = ast.literal_eval(raw.strip())
-        arr = np.asarray(val, dtype=np.float64)
-    except (ValueError, SyntaxError, TypeError):
-        raise ValidationError(
-            f"[instance] means: expected a nested list, got {raw!r}") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(
-            f"[instance] means: expected K x 2 entries, got shape {arr.shape}")
-    return arr
-
-
-def _parse_policies(raw: str) -> tuple:
-    s = raw.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    names = tuple(part.strip() for part in s.split(",") if part.strip())
-    if not names:
-        raise ValidationError("[run] policies: empty list")
-    for name in names:
-        if name not in KINDS:
-            raise ValidationError(
-                f"[run] policies: unknown policy {name!r} "
-                f"(known: {', '.join(KINDS)})")
-    if len(set(names)) != len(names):
-        raise ValidationError("[run] policies: duplicate entries")
-    return names
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate config text.
+    """Parse config text into a :class:`RunConfig`.
 
     Raises :class:`ParseError` on malformed syntax (the message carries the
     offending line) and :class:`ValidationError` on unknown or out-of-range
@@ -184,96 +182,49 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as e:
         raise ParseError(str(e)) from None
 
-    for section in cp.sections():
-        if section not in ("instance", "run", "gain"):
-            raise ValidationError(f"unknown section [{section}]")
     if cp.defaults():
         key = next(iter(cp.defaults()))
         raise ValidationError(f"key {key!r} appears outside any section")
-    known = {"instance": _INSTANCE_KEYS, "run": _RUN_KEYS, "gain": _GAIN_KEYS}
+    known = {}
+    for f in fields(RunConfig):
+        known.setdefault(f.metadata.get("section", "run"), []).append(f.name)
     for section in cp.sections():
+        if section not in known:
+            raise ValidationError(f"unknown section [{section}]")
         for key in cp[section]:
             if key not in known[section]:
                 raise ValidationError(f"[{section}] unknown key {key!r}")
 
-    if not cp.has_section("run") or "mode" not in cp["run"]:
-        raise ValidationError("[run] mode is required")
-    run = cp["run"]
-    mode = run["mode"].strip()
-    if mode not in MODES:
-        raise ValidationError(
-            f"[run] mode: expected one of {', '.join(MODES)}, got {mode!r}")
-
-    kw: dict = {"mode": mode}
-    for key in ("T", "replications", "seed", "mc_samples", "thin"):
-        if key in run:
-            kw[key] = _parse_int("run", key, run[key])
-    check_run_fields(kw)
-    if "policies" in run:
-        kw["policies"] = _parse_policies(run["policies"])
-    if "out" in run:
-        out = run["out"].strip()
-        if not out:
-            raise ValidationError("[run] out: empty path")
-        kw["out"] = out
-
-    if mode == "simulate":
-        if not cp.has_section("instance"):
-            raise ValidationError("simulate mode requires an [instance] "
-                                  "section")
-        if cp.has_section("gain"):
-            raise ValidationError("simulate mode does not use a [gain] "
-                                  "section")
-        if kw.get("T") is None:
-            raise ValidationError("[run] T is required in simulate mode")
-        inst = cp["instance"]
-        for need in ("means", "variances"):
-            if need not in inst:
-                raise ValidationError(f"[instance] {need} is required")
-        kw["means"] = _parse_means(inst["means"])
-        kw["variances"] = _parse_floats("instance", "variances",
-                                        inst["variances"])
-    elif mode == "gain":
-        if not cp.has_section("gain"):
-            raise ValidationError("gain mode requires a [gain] section")
-        if cp.has_section("instance"):
-            raise ValidationError("gain mode does not use an [instance] "
-                                  "section")
-        if kw.get("T") is None:
-            raise ValidationError("[run] T is required in gain mode")
-        g = cp["gain"]
-        for need in ("g_coeffs", "h_coeffs", "K"):
-            if need not in g:
-                raise ValidationError(f"[gain] {need} is required")
-        kw["g_coeffs"] = _parse_floats("gain", "g_coeffs", g["g_coeffs"])
-        kw["h_coeffs"] = _parse_floats("gain", "h_coeffs", g["h_coeffs"])
-        kw["K"] = _parse_int("gain", "K", g["K"])
-        if kw["K"] < 2:
-            raise ValidationError(f"[gain] K: must be >= 2, got {kw['K']}")
-    else:  # verify
-        for sec in ("instance", "gain"):
-            if cp.has_section(sec):
+    mode = cp.get("run", "mode", fallback="").strip()
+    if mode in MODE_SECTION:
+        for section in cp.sections():
+            if section not in ("run", MODE_SECTION[mode]):
                 raise ValidationError(
-                    f"verify mode does not use an [{sec}] section")
+                    f"{mode} mode does not use the [{section}] section")
 
+    kw = {"mode": None}  # RunConfig names a missing mode
+    for section in cp.sections():
+        for key, raw in cp[section].items():
+            if key in _MINIMA:
+                kw[key] = _parse_int(section, key, raw)
+            elif section != "run":
+                kw[key] = _parse_array(section, key, raw)
+            elif key == "policies":
+                names = raw.strip()
+                if names.startswith("[") and names.endswith("]"):
+                    names = names[1:-1]
+                kw[key] = tuple(n.strip() for n in names.split(",")
+                                if n.strip())
+            else:
+                kw[key] = raw.strip()
     cfg = RunConfig(**kw)
-    _check_buildable(cfg)
+    if MODE_SECTION[cfg.mode] is not None:
+        try:
+            build_instance(cfg)
+        except BanditError as e:
+            raise ValidationError(
+                f"config does not define a valid problem: {e}") from None
     return cfg
-
-
-def _check_buildable(cfg: RunConfig) -> None:
-    """Fail at parse time if the instance or problem cannot be built."""
-    # imported here to keep config importable without the heavier modules
-    from .core import new_instance
-    from .sysid import grid_from_fir
-    try:
-        if cfg.mode == "simulate":
-            new_instance(cfg.means, cfg.variances)
-        elif cfg.mode == "gain":
-            grid_from_fir(cfg.g_coeffs, cfg.h_coeffs, cfg.K)
-    except BanditError as e:
-        raise ValidationError(f"config does not define a valid problem: {e}"
-                              ) from None
 
 
 def load_config(path: str) -> RunConfig:

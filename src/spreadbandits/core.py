@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AllZeroPower,
     DimensionMismatch,
+    InsufficientData,
     InvalidProfile,
     MissingObservation,
-    NegativePower,
     NonPositiveVariance,
     TiedOptimum,
     TooFewArms,
@@ -127,7 +126,7 @@ class PowerProfile:
         if not np.all(np.isfinite(p)):
             raise InvalidProfile("powers must be finite")
         if np.any(p < 0.0):
-            raise NegativePower("powers must be nonnegative")
+            raise InvalidProfile("powers must be nonnegative")
         if np.any(p > 1.0):
             raise InvalidProfile("powers must not exceed 1")
         s = p.sum()
@@ -237,7 +236,7 @@ class ArmStats:
     def update(self, p: float, x=None) -> None:
         """Fold in one observation of weight ``p`` (in place)."""
         if p < 0.0:
-            raise NegativePower(f"power must be nonnegative, got {p}")
+            raise InvalidProfile(f"power must be nonnegative, got {p}")
         if p > 0.0:
             if x is None:
                 raise MissingObservation(
@@ -279,10 +278,10 @@ def batch_stats(powers, xs) -> ArmStats:
         raise DimensionMismatch(
             f"xs must have shape ({n}, {DIM}), got {xs.shape}")
     if np.any(powers < 0.0):
-        raise NegativePower("powers must be nonnegative")
+        raise InvalidProfile("powers must be nonnegative")
     active = powers > 0.0
     if not np.any(active):
-        raise AllZeroPower("no positive-power observation in the batch")
+        raise InsufficientData("no positive-power observation in the batch")
     w = powers[active]
     x = xs[active]
     z = w.sum()

@@ -30,63 +30,26 @@ class TooFewArms(BanditError):
 
 
 class InvalidProfile(BanditError):
-    """A power profile does not lie on the probability simplex."""
-
-
-class NegativePower(BanditError):
-    """A power value is negative."""
+    """A power profile or a power value is invalid: negative, or off the
+    probability simplex."""
 
 
 class MissingObservation(BanditError):
     """An arm received positive power but no observed value."""
 
 
-class AllZeroPower(BanditError):
-    """A batch of observations carries no positive power at all."""
+class InsufficientData(BanditError):
+    """A computation needs more observations, or more positive power, than
+    it was given."""
 
 
 # ---------------------------------------------------------------------------
-# posterior layer
+# posterior and bounds layers
 
 class InvalidParams(BanditError):
-    """Posterior parameters out of domain (z > 0, S > 0, integer t >= 4)."""
-
-
-class ZeroSamples(BanditError):
-    """A Monte Carlo estimate was requested with no samples."""
-
-
-# ---------------------------------------------------------------------------
-# policy layer
-
-class WrongKind(BanditError):
-    """A policy kind is not one of :data:`spreadbandits.policies.KINDS`."""
-
-
-class InsufficientData(BanditError):
-    """A policy needs more observations than its state holds."""
-
-
-# ---------------------------------------------------------------------------
-# bounds layer
-
-class NonPositiveArgument(BanditError):
-    """An argument escaped the positive (or > -1) domain of a bound."""
-
-
-class OddDof(BanditError):
-    """The closed-form chi-square CDF only covers even degrees of freedom."""
-
-
-class NegativeX(BanditError):
-    """A CDF was evaluated at a negative point."""
-
-
-# ---------------------------------------------------------------------------
-# gain-estimation layer
-
-class NoData(BanditError):
-    """A gain estimate was requested before any observation arrived."""
+    """An argument is outside the domain of a posterior, Monte Carlo or
+    bound computation, which needs e.g. z > 0, an integer t >= 4,
+    mc_samples >= 1, an even chi-square dof or x >= 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,4 +60,5 @@ class ParseError(BanditError):
 
 
 class ValidationError(BanditError):
-    """Config text parsed but a field is unknown or out of range."""
+    """A run setting is unknown or out of range: a config field, a policy
+    kind, or a config section the mode does not use."""

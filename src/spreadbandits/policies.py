@@ -33,7 +33,7 @@ from .errors import (
     InsufficientData,
     InvalidProfile,
     MissingObservation,
-    WrongKind,
+    ValidationError,
 )
 from .posterior import _radial_t, _rho_counts
 
@@ -74,7 +74,7 @@ class PolicyState:
                  mc_samples: int | None = None, sigma2=None,
                  k_star: int | None = None):
         if kind not in KINDS:
-            raise WrongKind(f"unknown policy kind {kind!r}")
+            raise ValidationError(f"unknown policy kind {kind!r}")
         K = int(n_arms)
         self.kind = kind
         self.round = int(round)

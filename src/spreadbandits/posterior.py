@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, TooFewArms, ZeroSamples
+from .errors import InvalidParams, TooFewArms
 
 # the Monte Carlo kernel's uniforms: u = m * 2^-24 for a 24-bit mantissa m,
 # 1 - u = (2^24 - m) * 2^-24 and 2 pi v = m * (fl32(2 pi) * 2^-24), all exact
@@ -245,7 +245,7 @@ def estimate_rho(all_params, mc_samples: int,
         raise TooFewArms(f"need at least 2 arms, got {K}")
     M = int(mc_samples)
     if M < 1:
-        raise ZeroSamples(f"mc_samples must be >= 1, got {mc_samples}")
+        raise InvalidParams(f"mc_samples must be >= 1, got {mc_samples}")
 
     z = np.array([q.z for q in all_params])
     S = np.array([q.S for q in all_params])

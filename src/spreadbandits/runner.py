@@ -38,8 +38,8 @@ from . import rng as rng_streams
 # per-round API; the round loop does not call them, but they stay runner
 # attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
-from .config import RunConfig, check_run_fields
-from .core import _draw, _draw_arm, new_instance, sample_outcome
+from .config import RunConfig, build_instance
+from .core import _draw, _draw_arm, sample_outcome
 from .errors import BanditError, ValidationError
 from .policies import (
     KIND_IDS,
@@ -50,7 +50,7 @@ from .policies import (
     observe,
     policy_step,
 )
-from .sysid import gain_estimate, grid_from_fir
+from .sysid import gain_estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,12 +92,6 @@ class RunReport:
     elapsed_s: float = 0.0
 
 
-def _build_instance(cfg: RunConfig):
-    if cfg.mode == "gain":
-        return grid_from_fir(cfg.g_coeffs, cfg.h_coeffs, cfg.K).instance
-    return new_instance(cfg.means, cfg.variances)
-
-
 def run_replication(cfg: RunConfig, kind: str, replication: int
                     ) -> ReplicationOut:
     """Run one policy for one replication of T rounds.
@@ -108,7 +102,7 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     with whole-array operations, a one-hot play updates its one arm in
     Python floats, and no profile or outcome object is built per round.
     """
-    instance = _build_instance(cfg)
+    instance = build_instance(cfg)
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
@@ -209,12 +203,13 @@ def _write_csv(path: str, outputs, gain_mode: bool) -> None:
 
 
 def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
-    """Execute every (policy, replication) task and write the trace files."""
+    """Execute every (policy, replication) task and write the trace files.
+
+    ``cfg`` was checked when it was built (see :class:`RunConfig`), so the
+    one rule left here is that it describes a simulate or gain run.
+    """
     if cfg.mode not in ("simulate", "gain"):
         raise ValidationError(f"run() handles simulate/gain, not {cfg.mode!r}")
-    if cfg.T is None:
-        raise ValidationError("run() needs a horizon T")
-    check_run_fields(vars(cfg))
     workers = max(1, int(workers))
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
@@ -243,7 +238,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     json_path = cfg.out + ".json"
     _write_csv(csv_path, outputs, cfg.mode == "gain")
 
-    consts = lower_bound_constants(_build_instance(cfg))
+    consts = lower_bound_constants(build_instance(cfg))
     elapsed = time.perf_counter() - t0
     sidecar = {
         "config": cfg.to_dict(),

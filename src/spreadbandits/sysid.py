@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BanditInstance, PowerProfile, new_instance
-from .errors import DimensionMismatch, NoData, TooFewArms
+from .errors import DimensionMismatch, InsufficientData, TooFewArms
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +122,7 @@ def gain_estimate(z, xbar, t: int) -> GainEstimate:
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[0] == 0 or not z.max() > 0.0:
-        raise NoData("no bin has received any power yet")
+        raise InsufficientData("no bin has received any power yet")
     k_hat = int(np.argmax(z))
     beta = float(np.hypot(xbar[k_hat, 0], xbar[k_hat, 1]))
     return GainEstimate(beta_hat=beta, k_hat=k_hat, t=int(t))

@@ -23,7 +23,7 @@ from .bounds import (
     mean_exceedance,
     variance_tail_bound,
 )
-from .config import RunConfig, check_run_fields
+from .config import RunConfig
 from .core import (
     ArmStats,
     PowerProfile,
@@ -351,33 +351,27 @@ _INSTANCE3 = (np.array([[1.5, 0.0], [0.6, 0.8], [0.0, 0.6]]),
               np.array([0.64, 0.81, 1.0]))
 
 
-def _play(instance, kind, T, seed, mc_samples=1024):
-    """Tiny serial run returning the state and the last emitted profile."""
-    rng_env = rng_streams.stream(seed, 90, 0, rng_streams.ENV)
-    rng_pol = rng_streams.stream(seed, 90, 0, rng_streams.POLICY)
+def _play(instance, kind, T, seed, mc_samples=1024, key=90):
+    """Tiny serial run on the streams keyed (seed, key); returns the state
+    and every emitted profile, in order."""
+    rng_env = rng_streams.stream(seed, key, 0, rng_streams.ENV)
+    rng_pol = rng_streams.stream(seed, key, 0, rng_streams.POLICY)
     state = make_policy(kind, instance, mc_samples)
-    profile = None
+    profiles = []
     for _ in range(T):
         profile = policy_step(state, rng_pol)
         outcome = sample_outcome(instance, profile, rng_env)
         observe(state, profile, outcome)
-    return state, profile
+        profiles.append(profile)
+    return state, profiles
 
 
 def check_warmup_and_floor() -> CheckResult:
     """WTS warm-up is exactly uniform; after it, every power stays > 0."""
-    instance = new_instance(*_INSTANCE3)
-    rng_pol = rng_streams.stream(123, 91, 0, rng_streams.POLICY)
-    rng_env = rng_streams.stream(123, 91, 0, rng_streams.ENV)
-    state = make_policy(WTS, instance, 512)
-    uniform_ok = True
-    min_power = 1.0
-    for t in range(1, 51):
-        profile = policy_step(state, rng_pol)
-        if t <= 3:
-            uniform_ok &= bool(np.all(profile.p == 1.0 / 3.0))
-        min_power = min(min_power, float(profile.p.min()))
-        observe(state, profile, sample_outcome(instance, profile, rng_env))
+    _, profiles = _play(new_instance(*_INSTANCE3), WTS, 50, seed=123,
+                        mc_samples=512, key=91)
+    uniform_ok = all(np.all(pr.p == 1.0 / 3.0) for pr in profiles[:3])
+    min_power = min(float(pr.p.min()) for pr in profiles)
     ok = uniform_ok and min_power > 0.0
     return _result("wts-warmup-and-floor", ok,
                    f"warmup uniform {uniform_ok}, min power {min_power:.2e}",
@@ -402,9 +396,9 @@ def check_one_hot_baselines() -> CheckResult:
 def check_policy_determinism() -> CheckResult:
     """Equal seeds reproduce the exact profile sequence."""
     instance = new_instance(*_INSTANCE3)
-    _, p1 = _play(instance, WTS, 150, seed=42)
-    _, p2 = _play(instance, WTS, 150, seed=42)
-    _, p3 = _play(instance, WTS, 150, seed=43)
+    p1 = _play(instance, WTS, 150, seed=42)[1][-1]
+    p2 = _play(instance, WTS, 150, seed=42)[1][-1]
+    p3 = _play(instance, WTS, 150, seed=43)[1][-1]
     same = bool(np.all(p1.p == p2.p))
     differs = bool(np.any(p1.p != p3.p))
     return _result("policy-determinism", same and differs,
@@ -436,8 +430,8 @@ def check_belief_concentration() -> CheckResult:
     hits = 0
     runs = 50
     for seed in range(runs):
-        _, profile = _play(instance, WTS, 2000, seed=seed, mc_samples=1024)
-        hits += profile.p[instance.k_star] > 0.99
+        _, profiles = _play(instance, WTS, 2000, seed=seed)
+        hits += profiles[-1].p[instance.k_star] > 0.99
     return _result("wts-belief-concentration", hits >= 0.95 * runs,
                    f"{hits}/{runs} runs locked on", ">= 95%")
 
@@ -530,13 +524,8 @@ def check_gain_mse_slope(rng) -> CheckResult:
 def check_gain_noiseless() -> CheckResult:
     """With vanishing noise the peak gain is recovered almost exactly."""
     problem = grid_from_fir([0.35, 0.45, 0.1], [1e-6], 8)
-    rng_env = rng_streams.stream(5, 93, 0, rng_streams.ENV)
-    rng_pol = rng_streams.stream(5, 93, 0, rng_streams.POLICY)
-    state = make_policy(WTS, problem.instance, 256)
-    for _ in range(10):
-        profile = policy_step(state, rng_pol)
-        observe(state, profile, sample_outcome(problem.instance, profile,
-                                               rng_env))
+    state, _ = _play(problem.instance, WTS, 10, seed=5, mc_samples=256,
+                     key=93)
     est = gain_estimate(state.z, state.mean, 10)
     err = abs(est.beta_hat - problem.peak_gain)
     ok = err < 1e-4 and est.k_hat == problem.peak_bin
@@ -548,8 +537,8 @@ def check_gain_noiseless() -> CheckResult:
 
 def run_verification(seed: int = 0) -> list:
     """Run every check; returns the list of :class:`CheckResult`.  ``seed``
-    must be an integer >= 0, as in a config's ``[run]`` section."""
-    check_run_fields({"seed": seed})
+    must be an integer >= 0, as in any :class:`RunConfig`."""
+    RunConfig(mode="verify", seed=seed)
 
     def fresh(i):
         return rng_streams.stream(seed, 1000 + i)

@@ -17,12 +17,7 @@ from spreadbandits import (
     regret_step,
     variance_tail_bound,
 )
-from spreadbandits.errors import (
-    DimensionMismatch,
-    NonPositiveArgument,
-    OddDof,
-    NegativeX,
-)
+from spreadbandits.errors import DimensionMismatch, InvalidParams
 
 
 class TestH:
@@ -40,7 +35,7 @@ class TestH:
 
     @pytest.mark.parametrize("x", [0.0, -0.5, -2.0])
     def test_nonpositive_rejected(self, x):
-        with pytest.raises(NonPositiveArgument):
+        with pytest.raises(InvalidParams, match="h needs x > 0"):
             h(x)
 
 
@@ -69,7 +64,7 @@ class TestMeanExceedance:
         dict(z=1.0, sigma2=1.0, eps=0.0),
     ])
     def test_domain(self, kw):
-        with pytest.raises(NonPositiveArgument):
+        with pytest.raises(InvalidParams, match="z, sigma2, eps must be"):
             mean_exceedance(**kw)
 
 
@@ -85,7 +80,7 @@ class TestVarianceTailBound:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_eps_must_be_positive(self):
-        with pytest.raises(NonPositiveArgument):
+        with pytest.raises(InvalidParams, match="t, sigma2, eps must be"):
             variance_tail_bound(10, 1.0, 0.0)
 
 
@@ -111,13 +106,13 @@ class TestChi2CdfEven:
         assert vals[0] == 0.0
 
     def test_odd_dof_rejected(self):
-        with pytest.raises(OddDof):
+        with pytest.raises(InvalidParams, match="positive even dof"):
             chi2_cdf_even(3, 1.0)
-        with pytest.raises(OddDof):
+        with pytest.raises(InvalidParams, match="positive even dof"):
             chi2_cdf_even(0, 1.0)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(NegativeX):
+        with pytest.raises(InvalidParams, match="at x < 0"):
             chi2_cdf_even(2, -0.001)
 
 

@@ -1,5 +1,7 @@
 """Config parsing: defaults, strict key checking, mode-specific sections."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ variances = [1.0, 0.5]
 mode = simulate
 T = 100
 """
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 GAIN = """\
 [gain]
@@ -187,6 +191,9 @@ class TestRoundTrip:
         d = parse_config(GAIN).to_dict()
         json.dumps(d)
         assert d["K"] == 4
+        # integer fields may be numpy integers when built in Python
+        assert json.loads(json.dumps(
+            RunConfig(mode="verify", seed=np.int64(3)).to_dict()))["seed"] == 3
 
     def test_comments_ignored(self):
         cfg = parse_config(SIMULATE + "# trailing comment\nseed = 4  # four\n")
@@ -195,3 +202,13 @@ class TestRoundTrip:
     def test_direct_construction(self):
         cfg = RunConfig(mode="verify")
         assert cfg.policies == ("wts",)
+
+    def test_rule_message_names_field_alone(self):
+        # the value may come from --seed or a Python call, not a [run] line
+        with pytest.raises(ValidationError, match=r"^seed: must be >= 0, "
+                                                  r"got -1$"):
+            RunConfig(mode="verify", seed=-1)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_configs_load(self, path):
+        assert load_config(str(path)).mode == path.stem

@@ -5,7 +5,6 @@ import pytest
 
 from spreadbandits import (
     ArmStats,
-    BanditInstance,
     Outcome,
     PowerProfile,
     batch_stats,
@@ -13,11 +12,10 @@ from spreadbandits import (
     sample_outcome,
 )
 from spreadbandits.errors import (
-    AllZeroPower,
     DimensionMismatch,
+    InsufficientData,
     InvalidProfile,
     MissingObservation,
-    NegativePower,
     NonPositiveVariance,
     TiedOptimum,
     TooFewArms,
@@ -103,7 +101,7 @@ class TestPowerProfile:
             PowerProfile(np.array([0.5, 0.4]))
 
     def test_negative_power_rejected(self):
-        with pytest.raises(NegativePower):
+        with pytest.raises(InvalidProfile, match="powers must be nonnegative"):
             PowerProfile(np.array([1.5, -0.5]))
 
     def test_profile_array_is_frozen(self):
@@ -154,7 +152,7 @@ class TestArmStats:
         assert st2.rounds == st.rounds + 1
 
     def test_negative_power_rejected(self):
-        with pytest.raises(NegativePower):
+        with pytest.raises(InvalidProfile, match="power must be nonnegative"):
             ArmStats().update(-0.1, np.array([0.0, 0.0]))
 
     def test_positive_power_needs_observation(self):
@@ -187,7 +185,8 @@ class TestBatchStats:
         assert st.rounds == 2
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroPower):
+        with pytest.raises(InsufficientData,
+                           match="no positive-power observation"):
             batch_stats([0.0, 0.0], [(1.0, 1.0), (2.0, 2.0)])
 
     def test_incremental_equals_batch(self):

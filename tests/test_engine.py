@@ -31,8 +31,8 @@ from spreadbandits.policies import (
     _fold_arm,
     _fold_powers,
 )
+from spreadbandits.config import build_instance
 from spreadbandits.posterior import _rho_counts
-from spreadbandits.runner import _build_instance
 
 SEEDS = (0, 1, 2)
 
@@ -102,7 +102,7 @@ def reference_outcome(instance, profile, rng):
 
 
 def reference_replication(cfg, kind, replication):
-    instance = _build_instance(cfg)
+    instance = build_instance(cfg)
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,

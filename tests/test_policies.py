@@ -18,7 +18,7 @@ from spreadbandits.errors import (
     DimensionMismatch,
     InsufficientData,
     MissingObservation,
-    WrongKind,
+    ValidationError,
 )
 from spreadbandits.policies import (
     KINDS,
@@ -54,9 +54,9 @@ class TestMakePolicy:
         assert not st.z.any() and not st.S.any() and not st.mean.any()
 
     def test_unknown_kind(self):
-        with pytest.raises(WrongKind):
+        with pytest.raises(ValidationError, match="unknown policy kind"):
             make_policy("greedy", instance())
-        with pytest.raises(WrongKind):
+        with pytest.raises(ValidationError, match="unknown policy kind"):
             PolicyState("greedy", 2)
 
     def test_information_boundaries(self):

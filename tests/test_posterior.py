@@ -14,7 +14,7 @@ from spreadbandits import (
     posterior_radial_tail,
     sample_posterior,
 )
-from spreadbandits.errors import InvalidParams, TooFewArms, ZeroSamples
+from spreadbandits.errors import InvalidParams, TooFewArms
 from spreadbandits.posterior import _rho_counts
 
 
@@ -154,7 +154,7 @@ class TestEstimateRho:
 
     def test_zero_samples_rejected(self):
         q = [params(), params()]
-        with pytest.raises(ZeroSamples):
+        with pytest.raises(InvalidParams, match="mc_samples must be >= 1"):
             estimate_rho(q, 0, np.random.default_rng(0))
 
     def test_single_arm_rejected(self):

@@ -219,18 +219,17 @@ class TestRunValidation:
             run(RunConfig(mode="verify"), quiet=True)
 
     def test_missing_horizon_rejected(self, tmp_path):
-        cfg = sim_config(tmp_path, T=None)
         with pytest.raises(ValidationError):
-            run(cfg, quiet=True)
+            run(sim_config(tmp_path, T=None), quiet=True)
 
     @pytest.mark.parametrize("field,value", [
         ("T", 3), ("T", 0), ("replications", 0), ("mc_samples", 0),
         ("thin", 0), ("thin", -1), ("thin", 2.5), ("seed", -1),
-        ("seed", 2.5)])
+        ("seed", 2.5), ("policies", ("greedy",)), ("policies", ("wts", "wts")),
+        ("policies", ()), ("out", "")])
     def test_run_fields_checked_at_boundary(self, tmp_path, field, value):
-        cfg = sim_config(tmp_path, **{field: value})
         with pytest.raises(ValidationError, match=field):
-            run(cfg, quiet=True)
+            run(sim_config(tmp_path, **{field: value}), quiet=True)
         assert not list(tmp_path.iterdir())
 
 

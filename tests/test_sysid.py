@@ -15,7 +15,7 @@ from spreadbandits import (
 )
 from spreadbandits.errors import (
     DimensionMismatch,
-    NoData,
+    InsufficientData,
     NonPositiveVariance,
     TiedOptimum,
     TooFewArms,
@@ -184,9 +184,9 @@ class TestGainEstimate:
         assert gain_estimate(np.array([2.0, 2.0]), xbar, 4).k_hat == 0
 
     def test_no_data(self):
-        with pytest.raises(NoData):
+        with pytest.raises(InsufficientData, match="no bin has received"):
             gain_estimate(np.zeros(2), np.zeros((2, 2)), 1)
-        with pytest.raises(NoData):
+        with pytest.raises(InsufficientData, match="no bin has received"):
             gain_estimate(np.zeros(0), np.zeros((0, 2)), 0)
 
     def test_estimate_fields(self):
