@@ -162,23 +162,29 @@ class Outcome:
         return len(self.values)
 
 
-def _draw(means, variances, p, rng: np.random.Generator) -> np.ndarray:
+def _normals(rng: np.random.Generator, rows: int,
+             rounds: int) -> np.ndarray:
+    """``rounds`` rounds of ``rng.normal(size=(rows, 2))``, shape
+    (rounds, rows, 2): the outcome noise of ``rows`` powered arms, and the
+    known-variance Thompson baseline's posterior draws."""
+    return rng.normal(size=(rounds, rows, DIM))
+
+
+def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
     """Observations of arms with powers ``p > 0``, one row per arm.
 
-    Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * g`` with ``g``
-    standard 2-d normal.  Unvalidated: the round engine's dense path and
-    the core of :func:`sample_outcome`.
+    Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * noise[k]``, with
+    ``noise`` one round of :func:`_normals`.  Unvalidated: the round
+    engine's dense path and the core of :func:`sample_outcome`.
     """
-    noise = rng.normal(size=(p.shape[0], DIM))
     return means + np.sqrt(variances / (2.0 * p))[:, None] * noise
 
 
-def _draw_arm(mx: float, my: float, var: float,
-              rng: np.random.Generator) -> tuple:
+def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
     """:func:`_draw` for one arm at full power, in Python floats: the round
-    engine's one-hot path (same stream and arithmetic as a one-row
-    :func:`_draw` with ``p = 1``)."""
-    (g0, g1), = rng.normal(size=(1, DIM)).tolist()
+    engine's one-hot path (same arithmetic as a one-row :func:`_draw` with
+    ``p = 1``, on the pair ``g`` of its noise)."""
+    g0, g1 = g
     sd = math.sqrt(var / 2.0)
     return mx + sd * g0, my + sd * g1
 
@@ -197,7 +203,7 @@ def sample_outcome(instance: BanditInstance, profile: PowerProfile,
             f"profile has {p.shape[0]} entries for {K} arms")
     active = np.flatnonzero(p > 0.0)
     obs = _draw(instance.means[active], instance.variances[active], p[active],
-                rng)
+                _normals(rng, active.shape[0], 1)[0])
     values = [None] * K
     for i, k in enumerate(active):
         values[k] = obs[i]

@@ -23,19 +23,41 @@ A round of the engine is :func:`_choose` (a power vector for ``wts`` and
 these directly.  The public :func:`policy_step` / :func:`observe` pair wraps
 the same functions in validated :class:`PowerProfile` / :class:`Outcome`
 values.  A state is owned by exactly one simulation run.
+
+Every round of a kind takes the same draws from its streams, once past any
+warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
+rounds in one call, with the part of each draw that does not depend on the
+state already applied (the radial ``-log(1 - u)`` and ``cos(2 pi v)`` of
+``ts_unknown``).  :func:`_choose` takes the round's draws from a callable,
+which it calls only in a round that draws: the runner passes a block
+reader of :mod:`spreadbandits.rng`, and :func:`policy_step` a call of the
+fill for one round, so the public API takes from its generator exactly
+what one round takes.
 """
 
 import numpy as np
 
-from .core import SIMPLEX_TOL, BanditInstance, Outcome, PowerProfile
+from .core import (
+    SIMPLEX_TOL,
+    BanditInstance,
+    Outcome,
+    PowerProfile,
+    _normals,
+)
 from .errors import (
     DimensionMismatch,
     InsufficientData,
+    InvalidParams,
     InvalidProfile,
     MissingObservation,
     ValidationError,
 )
-from .posterior import _radial_t, _rho_counts
+from .posterior import (
+    _radial_t_d2,
+    _radial_t_fill,
+    _rho_counts,
+    _uniform_bits,
+)
 
 WTS = "wts"
 TS_KNOWN = "ts_known"
@@ -68,7 +90,7 @@ class PolicyState:
     """
 
     __slots__ = ("kind", "round", "z", "S", "mean", "mc_samples", "sigma2",
-                 "k_star", "_draws")
+                 "k_star", "_draws", "_fill")
 
     def __init__(self, kind: str, n_arms: int, round: int = 1,
                  mc_samples: int | None = None, sigma2=None,
@@ -76,6 +98,14 @@ class PolicyState:
         if kind not in KINDS:
             raise ValidationError(f"unknown policy kind {kind!r}")
         K = int(n_arms)
+        if kind == WTS or mc_samples is not None:
+            try:
+                ok = mc_samples >= 1 and mc_samples == int(mc_samples)
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise InvalidParams(
+                    f"mc_samples must be an integer >= 1, got {mc_samples!r}")
         self.kind = kind
         self.round = int(round)
         self.z = np.zeros(K)
@@ -87,6 +117,8 @@ class PolicyState:
         # the Monte Carlo kernel's uniforms, reused every round
         self._draws = (None if self.mc_samples is None else
                        np.empty((2, K, self.mc_samples), dtype=np.float32))
+        # what a round draws from the policy's stream
+        self._fill = _policy_fill(kind, K, self.mc_samples)
 
     @property
     def n_arms(self) -> int:
@@ -115,8 +147,52 @@ def make_policy(kind: str, instance: BanditInstance,
 # ---------------------------------------------------------------------------
 # the round engine: trusted internal path, no per-round validation objects
 
-def _wts_powers(state: PolicyState, rng: np.random.Generator) -> np.ndarray:
-    """The WTS power vector of the current round."""
+def _policy_fill(kind: str, K: int, M: int | None):
+    """``(fill, round_bytes)`` of the kind's own draws, or None for a kind
+    that draws nothing.
+
+    ``fill(rng, rounds)`` draws ``rounds`` rounds of what one round of the
+    kind takes from its stream, indexed by round, and a round takes
+    ``round_bytes`` bytes: ``wts`` the kernel's words, ``ts_known`` a
+    standard normal 2-vector per arm, ``ts_unknown`` per arm the ``e`` of
+    :func:`_radial_t_fill` and the cosine of its angle.
+    """
+    if kind == WTS:
+        return ((lambda rng, rounds: _uniform_bits(rng, K, M, rounds)),
+                8 * K * M)
+    if kind == TS_KNOWN:
+        return (lambda rng, rounds: _normals(rng, K, rounds)), 16 * K
+    if kind == TS_UNKNOWN:
+        return (lambda rng, rounds: _ts_unknown_fill(rng, K, rounds)), 16 * K
+    return None
+
+
+def _env_fill(kind: str, K: int):
+    """``(fill, round_bytes)`` of the outcome noise of a kind's rounds.
+
+    ``wts`` and ``uniform`` power every arm, so a round draws a (K, 2)
+    array of :func:`_normals`; the one-hot kinds power one arm, whose
+    noise pair the fill gives as a list of two Python floats.
+    """
+    if kind in (WTS, UNIFORM):
+        return (lambda rng, rounds: _normals(rng, K, rounds)), 16 * K
+    return (lambda rng, rounds: _normals(rng, 1, rounds)[:, 0].tolist()), 16
+
+
+def _ts_unknown_fill(rng: np.random.Generator, K: int,
+                     rounds: int) -> np.ndarray:
+    """(rounds, 2, K): each round's ``e`` and ``cos(theta)`` of K radial-t
+    draws (:func:`_radial_t_fill`)."""
+    e, theta = _radial_t_fill(rng, K, rounds)
+    out = np.empty((rounds, 2, K))
+    out[:, 0] = e
+    out[:, 1] = np.cos(theta)
+    return out
+
+
+def _wts_powers(state: PolicyState, noise) -> np.ndarray:
+    """The WTS power vector of the current round; ``noise()`` gives the
+    round's kernel words."""
     z, S = state.z, state.S
     K = z.shape[0]
     t = state.round
@@ -129,7 +205,7 @@ def _wts_powers(state: PolicyState, rng: np.random.Generator) -> np.ndarray:
             f"arm {k} statistics degenerate at round {t} "
             f"(z={z[k]}, S={S[k]})")
     M = state.mc_samples
-    counts = _rho_counts(z, S, float(t), state.mean, M, rng, state._draws)
+    counts = _rho_counts(z, S, float(t), state.mean, M, noise(), state._draws)
     q = np.maximum(counts / M, RHO_FLOOR / K)
     p = q / q.sum()
     s = p.sum()
@@ -138,8 +214,9 @@ def _wts_powers(state: PolicyState, rng: np.random.Generator) -> np.ndarray:
     return p
 
 
-def _ts_arm(state: PolicyState, rng: np.random.Generator) -> int:
-    """The arm the one-hot Thompson baseline plays this round."""
+def _ts_arm(state: PolicyState, noise) -> int:
+    """The arm the one-hot Thompson baseline plays this round; ``noise()``
+    gives the round's posterior draws once the warm-up is over."""
     K = state.n_arms
     t = state.round
     passes = (TS_KNOWN_WARMUP_PASSES if state.kind == TS_KNOWN
@@ -153,7 +230,7 @@ def _ts_arm(state: PolicyState, rng: np.random.Generator) -> int:
         if n_obs.min() < 1:
             raise InsufficientData("ts_known needs every arm observed once")
         scale = np.sqrt(state.sigma2 / (2.0 * n_obs))
-        draws = xbar + scale[:, None] * rng.normal(size=(K, 2))
+        draws = xbar + scale[:, None] * noise()
         norms2 = (draws * draws).sum(axis=1)
     else:
         if n_obs.min() < 3:
@@ -161,24 +238,29 @@ def _ts_arm(state: PolicyState, rng: np.random.Generator) -> int:
                 "ts_unknown needs every arm observed three times")
         # bivariate-t posterior of an arm with n one-hot observations is the
         # weighted posterior at z = n, round index n + 1
-        d2, theta = _radial_t(rng, state.S / n_obs, n_obs - 2.0, K)
+        w = noise()
+        d2 = _radial_t_d2(w[0], state.S / n_obs, n_obs - 2.0)
         b2 = (xbar * xbar).sum(axis=1)
-        norms2 = b2 + 2.0 * np.sqrt(b2 * d2) * np.cos(theta)
+        norms2 = b2 + 2.0 * np.sqrt(b2 * d2) * w[1]
         norms2 += d2
-    return int(np.argmax(norms2))
+    return int(norms2.argmax())
 
 
-def _choose(state: PolicyState, rng: np.random.Generator):
+def _choose(state: PolicyState, noise):
     """The current round's play: a power vector (``wts``, ``uniform``) or
-    the index of the arm that gets all the power (the one-hot kinds)."""
+    the index of the arm that gets all the power (the one-hot kinds).
+
+    ``noise()`` returns the round's draws of :func:`_policy_fill`; it is
+    called once in a round that draws and not at all in one that does not.
+    """
     kind = state.kind
     if kind == WTS:
-        return _wts_powers(state, rng)
+        return _wts_powers(state, noise)
     if kind == ORACLE:
         return state.k_star
     if kind == UNIFORM:
         return np.full(state.n_arms, 1.0 / state.n_arms)
-    return _ts_arm(state, rng)
+    return _ts_arm(state, noise)
 
 
 def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
@@ -215,8 +297,11 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
 # the public, validated API over the same engine
 
 def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
-    """The profile ``state.kind`` plays this round."""
-    play = _choose(state, rng)
+    """The profile ``state.kind`` plays this round, drawing one round from
+    ``rng`` if the round draws at all."""
+    fill = state._fill
+    play = _choose(state, None if fill is None else
+                   lambda: fill[0](rng, 1)[0])
     if isinstance(play, np.ndarray):
         return PowerProfile(play)
     return PowerProfile.one_hot(state.n_arms, play)

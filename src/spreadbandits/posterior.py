@@ -15,21 +15,26 @@ uniform(0,1),
 
     delta = sqrt((S / z) (U^(-1/(t-3)) - 1)),   angle = 2 pi V.
 
-:func:`_radial_t` is this sampler in float64, the one copy behind both
-:func:`sample_posterior` and the unknown-variance Thompson baseline in
-:mod:`spreadbandits.policies`.
+:func:`_radial_t_fill` and :func:`_radial_t_d2` are this sampler in float64,
+the one copy behind both :func:`sample_posterior` and the unknown-variance
+Thompson baseline in :mod:`spreadbandits.policies`.  It is split where the
+statistics enter: the fill turns uniforms into ``-log(1 - U)`` and ``2 pi
+V`` for any number of rounds at once, and ``_radial_t_d2`` scales a
+round's ``-log(1 - U)`` by that round's ``(S / z, t - 3)``.
 
 :func:`estimate_rho` turns a set of per-arm posteriors into the belief that
 each arm has the largest mean norm, by Monte Carlo over joint draws.  Its
 kernel, :func:`_rho_counts`, runs the same sampler in float32 on the
 uniforms ``rng.random(dtype=np.float32)`` would give, on every bit
-generator: for PCG64 it reads them from the raw 64-bit words, elsewhere
-from ``rng.integers``, and either way it leaves the generator in the same
-state as that draw.  It stays a separate kernel because it is the hot path
-of every WTS round: it works in place on a reused float32 buffer, rescales
-the statistics so float32 neither overflows nor underflows, and must keep
-its counts bit-equal, draw for draw, to the reference kernel that the
-engine tests compare it with.
+generator.  It draws nothing itself: it takes one round of
+:func:`_uniform_bits`, the words behind those uniforms, which come from the
+raw 64-bit words for PCG64 and from ``rng.integers`` elsewhere, for one
+round (:func:`estimate_rho`) or a block of rounds (the simulation runner).
+It stays a separate kernel because it is the hot path of every WTS round:
+it works in place on a reused float32 buffer, rescales the statistics so
+float32 neither overflows nor underflows, and must keep its counts
+bit-equal, draw for draw, to the reference kernel that the engine tests
+compare it with.
 """
 
 import math
@@ -100,19 +105,26 @@ def posterior_radial_tail(params: PosteriorParams, delta) -> np.ndarray:
     return q ** (-(params.t - 3.0))
 
 
-def _radial_t(rng: np.random.Generator, scale, dof, n: int) -> tuple:
-    """Squared radius and angle of ``n`` radial-t draws about the centre.
+def _radial_t_fill(rng: np.random.Generator, n: int, rounds: int) -> tuple:
+    """The state-free half of ``rounds`` rounds of ``n`` radial-t draws.
 
-    ``d2 = scale * ((1 - u)^(-1/dof) - 1)`` and ``theta = 2 pi v``, where
-    ``u`` and ``v`` are the rows of ``rng.random((2, n))``, in float64 the
-    same stream as two ``rng.random(n)`` calls.  ``scale`` is ``S / z``
-    and ``dof`` is ``t - 3``, each a scalar or a length-``n`` vector.
+    Returns ``e = -log(1 - u)`` and ``theta = 2 pi v``, each of shape
+    (rounds, n), where ``u`` and ``v`` are the rows of each round's
+    ``rng.random((2, n))``.  ``1 - u`` in (0, 1] guards the heavy-tail
+    endpoint.
     """
-    u, v = rng.random((2, n))
-    # 1 - u in (0, 1] guards the heavy-tail endpoint; expm1 keeps
-    # precision when 1/dof is tiny
-    d2 = scale * np.expm1(-np.log(1.0 - u) / dof)
-    return d2, (2.0 * np.pi) * v
+    u = rng.random((rounds, 2, n))
+    return -np.log(1.0 - u[:, 0]), (2.0 * np.pi) * u[:, 1]
+
+
+def _radial_t_d2(e, scale, dof) -> np.ndarray:
+    """Squared radius ``scale * ((1 - u)^(-1/dof) - 1)`` of radial-t draws
+    from their ``e`` of :func:`_radial_t_fill`.
+
+    ``scale`` is ``S / z`` and ``dof`` is ``t - 3``, each a scalar or a
+    vector as long as ``e``; expm1 keeps precision when 1/dof is tiny.
+    """
+    return scale * np.expm1(e / dof)
 
 
 def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
@@ -124,33 +136,38 @@ def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
     n = 1 if size is None else int(size)
     if n < 1:
         raise InvalidParams(f"size must be >= 1, got {size}")
-    d2, theta = _radial_t(rng, params.S / params.z, params.t - 3.0, n)
-    delta = np.sqrt(d2)
+    e, theta = _radial_t_fill(rng, n, 1)
+    theta = theta[0]
+    delta = np.sqrt(_radial_t_d2(e[0], params.S / params.z, params.t - 3.0))
     out = np.empty((n, 2))
     out[:, 0] = params.xbar[0] + delta * np.cos(theta)
     out[:, 1] = params.xbar[1] + delta * np.sin(theta)
     return out[0] if size is None else out
 
 
-def _uniform_bits(rng: np.random.Generator, K: int, M: int) -> np.ndarray:
-    """The 2*K*M words behind ``rng.random((2, K, M), dtype=np.float32)``.
+def _uniform_bits(rng: np.random.Generator, K: int, M: int,
+                  rounds: int) -> np.ndarray:
+    """``rounds`` rounds of the 2*K*M words behind ``rng.random((2, K, M),
+    dtype=np.float32)``, shape (rounds, 2, K, M).
 
     numpy's float32 uniform is ``(next_uint32 >> 8) * 2^-24``, so these
     uint32 words, shifted right by 8, are its 24-bit mantissas in stream
-    order, and the generator ends in the state that draw leaves it in.
-    A PCG64 generator with no buffered half-word hands out each 64-bit
-    word as its low, then its high half, which on a little-endian machine
-    is ``random_raw`` viewed as uint32, at half the cost of the float fill.
-    Any other generator draws the same words through ``integers``.
+    order, and the generator ends in the state that ``rounds`` such draws
+    leave it in.  A PCG64 generator with no buffered half-word hands out
+    each 64-bit word as its low, then its high half, which on a
+    little-endian machine is ``random_raw`` viewed as uint32, at half the
+    cost of the float fill.  Any other generator draws the same words
+    through ``integers``.
     """
     bg = rng.bit_generator
+    shape = (rounds, 2, K, M)
     if (type(bg) is np.random.PCG64 and np.little_endian
             and not bg.state["has_uint32"]):
-        return bg.random_raw(K * M).view(np.uint32).reshape(2, K, M)
-    return rng.integers(0, 1 << 32, size=(2, K, M), dtype=np.uint32)
+        return bg.random_raw(rounds * K * M).view(np.uint32).reshape(shape)
+    return rng.integers(0, 1 << 32, size=shape, dtype=np.uint32)
 
 
-def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
+def _rho_counts(z, S, t, xbar, M: int, bits: np.ndarray,
                 draws: np.ndarray | None = None) -> np.ndarray:
     """Count argmax-norm wins over M joint posterior draws (array kernel).
 
@@ -167,13 +184,13 @@ def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
     the same at every scale where ``S / z`` is finite, and float32 neither
     overflows nor underflows.
 
-    The uniforms are the 2*K*M float32 values of ``rng.random((2, K, M),
-    dtype=np.float32)``, u then v, on every bit generator, and the
-    generator is left as that call leaves it; :func:`_uniform_bits` takes
-    their 24-bit mantissas ``m`` from raw PCG64 words where it can.  ``1 -
-    u`` is formed as the integer ``2^24 - m`` and both halves are scaled by
-    a power of two (``2 pi`` folded into the v scale), so every value is
-    bit-equal to ``1 - u`` and ``2 pi v`` in float32.
+    ``bits`` is one round of :func:`_uniform_bits`, the (2, K, M) words
+    behind the float32 uniforms u then v of ``rng.random((2, K, M),
+    dtype=np.float32)``; the kernel overwrites it.  Of each word it keeps
+    the 24-bit mantissa ``m``, forms ``1 - u`` as the integer ``2^24 - m``
+    and scales both halves by a power of two (``2 pi`` folded into the v
+    scale), so every value is bit-equal to ``1 - u`` and ``2 pi v`` in
+    float32.
 
     Each draw's winner is the arm of largest norm, the lowest index on a
     tie.  Wins are counted as the arms equal to the column maximum; when
@@ -203,7 +220,6 @@ def _rho_counts(z, S, t, xbar, M: int, rng: np.random.Generator,
 
     if draws is None:
         draws = np.empty((2, K, M), dtype=np.float32)
-    bits = _uniform_bits(rng, K, M)
     bits >>= 8
     np.subtract(_ONE_BITS, bits[0], out=bits[0])
     np.copyto(draws, bits)
@@ -251,5 +267,5 @@ def estimate_rho(all_params, mc_samples: int,
     S = np.array([q.S for q in all_params])
     t = np.array([q.t for q in all_params], dtype=np.float64)
     xbar = np.array([q.xbar for q in all_params])
-    counts = _rho_counts(z, S, t, xbar, M, rng)
+    counts = _rho_counts(z, S, t, xbar, M, _uniform_bits(rng, K, M, 1)[0])
     return counts / M

@@ -4,7 +4,10 @@ Each (policy, replication) pair is an independent task driven by two random
 streams keyed on ``(seed, policy id, replication, purpose)`` - one for
 outcome noise, one for policy-internal draws - so results do not depend on
 execution order or worker count, and raising ``replications`` appends new
-traces without disturbing existing ones.
+traces without disturbing existing ones.  A task reads each stream through
+a :class:`spreadbandits.rng.BlockReader`, which draws a block of rounds in
+one call; a round's draws are the same whatever the block size, so the
+trace is too.
 
 ``run`` writes ``<out>.csv`` with header
 
@@ -44,6 +47,7 @@ from .errors import BanditError, ValidationError
 from .policies import (
     KIND_IDS,
     _choose,
+    _env_fill,
     _fold_arm,
     _fold_powers,
     make_policy,
@@ -101,6 +105,8 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     engine's arrays: a dense play (``wts``, ``uniform``) updates all arms
     with whole-array operations, a one-hot play updates its one arm in
     Python floats, and no profile or outcome object is built per round.
+    Each stream is read in blocks of rounds; what is left of the last
+    blocks after round T is dropped with the task's generators.
     """
     instance = build_instance(cfg)
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
@@ -108,6 +114,10 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.POLICY)
     state = make_policy(kind, instance, cfg.mc_samples)
+    env_noise = rng_streams.BlockReader(
+        rng_env, *_env_fill(kind, instance.n_arms)).next
+    policy_noise = (None if state._fill is None else
+                    rng_streams.BlockReader(rng_pol, *state._fill).next)
     T = cfg.T
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
@@ -123,16 +133,16 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     cum = 0.0
     for t in range(1, T + 1):
         try:
-            play = _choose(state, rng_pol)
+            play = _choose(state, policy_noise)
             if type(play) is int:
                 step = gap[play]
                 x0, x1 = _draw_arm(mean_x[play], mean_y[play], var[play],
-                                   rng_env)
+                                   env_noise())
                 _fold_arm(state, play, 1.0, x0, x1)
             else:
                 step = float(gaps @ play)
                 _fold_powers(state, play,
-                             _draw(means, variances, play, rng_env))
+                             _draw(means, variances, play, env_noise()))
             state.round += 1
             cum += step
             if t % thin == 0 or t == T:

@@ -505,17 +505,23 @@ def check_multisine_dft(rng) -> CheckResult:
 
 
 def check_gain_mse_slope(rng) -> CheckResult:
-    """Under the oracle, the peak-gain MSE decays like 1/t (log-log slope)."""
-    beta = 1.3
-    sigma2 = 0.49
-    mu = np.array([beta, 0.0])
-    ts = np.array([100.0, 1000.0, 10000.0])
-    mses = []
-    for t in ts:
-        # oracle puts all power on the peak: xbar ~ N(mu, sigma^2/(2t) I)
-        draws = mu + math.sqrt(sigma2 / (2.0 * t)) * rng.normal(size=(200, 2))
-        err = np.hypot(draws[:, 0], draws[:, 1]) - beta
-        mses.append(float((err * err).mean()))
+    """Under the oracle, the peak-gain MSE decays like 1/t (log-log slope).
+
+    The oracle runs through :func:`run_replication` in gain mode on a fixed
+    FIR problem; the MSE at each of t = 100, 1000, 10000 is the mean of
+    ``(beta_hat - peak_gain)^2`` over 100 replications.
+    """
+    g, h, K = np.array([0.30, 0.48, 0.30, 0.12]), np.array([0.5]), 6
+    peak = grid_from_fir(g, h, K).peak_gain
+    ts = [100, 1000, 10000]
+    cfg = RunConfig(mode="gain", T=ts[-1], replications=100,
+                    seed=int(rng.integers(1 << 31)), policies=(ORACLE,),
+                    thin=ts[0], g_coeffs=g, h_coeffs=h, K=K)
+    errs = []
+    for rep in range(cfg.replications):
+        out = run_replication(cfg, ORACLE, rep)
+        errs.append(out.beta_hat[np.searchsorted(out.t, ts)] - peak)
+    mses = (np.array(errs) ** 2).mean(axis=0)
     slope = float(np.polyfit(np.log(ts), np.log(mses), 1)[0])
     return _result("gain-oracle-mse-slope", -1.2 <= slope <= -0.8,
                    f"slope {slope:.3f}", "in [-1.2, -0.8]")

@@ -32,7 +32,7 @@ from spreadbandits.policies import (
     _fold_powers,
 )
 from spreadbandits.config import build_instance
-from spreadbandits.posterior import _rho_counts
+from spreadbandits.posterior import _rho_counts, _uniform_bits
 
 SEEDS = (0, 1, 2)
 
@@ -207,7 +207,8 @@ def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
         ref_rng = make_rng(seed)
         rng = make_rng(seed)
         want = reference_rho_counts(z, S, t, xbar, M, ref_rng)
-        got = _rho_counts(z, S, t, xbar, M, rng, draws)
+        got = _rho_counts(z, S, t, xbar, M, _uniform_bits(rng, K, M, 1)[0],
+                          draws)
         np.testing.assert_array_equal(got, want, err_msg=f"seed={seed}")
         # the float32 draw also reads a buffered half-word, float64 does not
         np.testing.assert_array_equal(rng.random(3, dtype=np.float32),

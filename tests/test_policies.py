@@ -17,6 +17,7 @@ from spreadbandits.core import ArmStats
 from spreadbandits.errors import (
     DimensionMismatch,
     InsufficientData,
+    InvalidParams,
     MissingObservation,
     ValidationError,
 )
@@ -72,6 +73,12 @@ class TestMakePolicy:
     def test_mc_samples_recorded(self):
         assert make_policy("wts", instance(), 256).mc_samples == 256
         assert make_policy("uniform", instance()).mc_samples is None
+
+    @pytest.mark.parametrize("mc_samples", [0, -3, 2.5, None])
+    def test_bad_mc_samples_rejected_when_built(self, mc_samples):
+        # a wts state sizes its kernel buffer and its stream blocks from M
+        with pytest.raises(InvalidParams, match="mc_samples"):
+            make_policy("wts", instance(), mc_samples)
 
 
 class TestWts:

@@ -15,7 +15,13 @@ from spreadbandits import (
     sample_posterior,
 )
 from spreadbandits.errors import InvalidParams, TooFewArms
-from spreadbandits.posterior import _rho_counts
+from spreadbandits.posterior import _rho_counts, _uniform_bits
+
+
+def rho_counts(z, S, t, xbar, M, rng):
+    """The float32 kernel on one round of ``rng``'s words."""
+    return _rho_counts(z, S, t, xbar, M,
+                       _uniform_bits(rng, xbar.shape[0], M, 1)[0])
 
 
 def params(z=1.0, xbar=(0.0, 0.0), S=1.0, t=4):
@@ -179,9 +185,9 @@ class TestRhoKernelScale:
         S = z * (rng.random(4) + 0.3)
         xbar = rng.normal(size=(4, 2))
         t = np.array([9.0, 12.0, 30.0, 7.0])
-        ref = _rho_counts(z, S, t, xbar, 256, np.random.default_rng(5))
+        ref = rho_counts(z, S, t, xbar, 256, np.random.default_rng(5))
         for k in range(-100, 101):
-            got = _rho_counts(z, S * 4.0 ** k, t, xbar * 2.0 ** k, 256,
+            got = rho_counts(z, S * 4.0 ** k, t, xbar * 2.0 ** k, 256,
                               np.random.default_rng(5))
             np.testing.assert_array_equal(got, ref, err_msg=f"k={k}")
 
@@ -189,7 +195,7 @@ class TestRhoKernelScale:
     def test_clear_winner_at_any_scale(self, c):
         z, S, xbar = self.stats(c)
         M = 1000
-        counts = _rho_counts(z, S, 51.0, xbar, M, np.random.default_rng(7))
+        counts = rho_counts(z, S, 51.0, xbar, M, np.random.default_rng(7))
         assert counts.tolist() == [0, M]
 
 
@@ -197,7 +203,7 @@ class TestRhoKernelScale:
         # |xbar|^2 ~ 1e400 is beyond float64; the rescale comes first
         z, S, xbar = self.stats()
         M = 1000
-        counts = _rho_counts(z, S, 51.0, xbar * 1e200, M,
+        counts = rho_counts(z, S, 51.0, xbar * 1e200, M,
                              np.random.default_rng(7))
         assert counts.tolist() == [0, M]
 
@@ -213,7 +219,7 @@ class TestRhoKernelScale:
         z = np.ones(K)
         S = np.full(K, 1e-60)
         M = 500
-        counts = _rho_counts(z, S, 51.0, xbar, M, np.random.default_rng(3))
+        counts = rho_counts(z, S, 51.0, xbar, M, np.random.default_rng(3))
         assert counts.tolist() == [M * w for w in want]
 
 
@@ -241,7 +247,7 @@ class TestRhoLaw:
             yield f"angle={angle}", self.S, self.rotated(self.XBAR, angle)
 
     def counts(self, S, xbar, seed):
-        return _rho_counts(self.Z, S, self.T, xbar, self.M,
+        return rho_counts(self.Z, S, self.T, xbar, self.M,
                            np.random.default_rng(seed))
 
     def test_same_draws_flip_only_near_ties(self):
