@@ -87,6 +87,18 @@ class PosteriorParams:
         object.__setattr__(self, "t", t)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; it must be an integer >= 1 (a float or string
+    is not silently truncated)."""
+    try:
+        ok = value >= 1 and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidParams(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def posterior_density(params: PosteriorParams, mu) -> np.ndarray:
     """Evaluate the posterior density at ``mu`` ((2,) or (n, 2))."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -133,9 +145,7 @@ def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
 
     Returns shape (2,) for ``size=None`` and (size, 2) otherwise.
     """
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise InvalidParams(f"size must be >= 1, got {size}")
+    n = 1 if size is None else _count(size, "size")
     e, theta = _radial_t_fill(rng, n, 1)
     theta = theta[0]
     delta = np.sqrt(_radial_t_d2(e[0], params.S / params.z, params.t - 3.0))
@@ -259,9 +269,7 @@ def estimate_rho(all_params, mc_samples: int,
     K = len(all_params)
     if K < 2:
         raise TooFewArms(f"need at least 2 arms, got {K}")
-    M = int(mc_samples)
-    if M < 1:
-        raise InvalidParams(f"mc_samples must be >= 1, got {mc_samples}")
+    M = _count(mc_samples, "mc_samples")
 
     z = np.array([q.z for q in all_params])
     S = np.array([q.S for q in all_params])

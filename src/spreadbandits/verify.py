@@ -5,7 +5,12 @@ at a moderate Monte Carlo size and reports pass/fail with the observed
 statistic.  The whole suite is deterministic given its seed.  These checks
 are the one implementation of the properties they test: the acceptance
 tests in ``tests/test_acceptance.py`` call them on their own fixed seeds
-rather than re-deriving the same identities.  :func:`check_chi2_law` can
+rather than re-deriving the same identities.  The observation-law checks
+draw and fold through the round engine that every run executes: one
+replication per arm of a :class:`PolicyState`, observations from
+:func:`spreadbandits.core._draw`, statistics folded by
+:func:`spreadbandits.policies._fold_powers`, and the batch check folds with
+:func:`spreadbandits.policies._fold_arm`.  :func:`check_chi2_law` can
 corrupt its simulated variance, a sensitivity control for the test suite;
 :func:`run_verification` never does.
 """
@@ -25,18 +30,23 @@ from .bounds import (
 )
 from .config import RunConfig
 from .core import (
-    ArmStats,
     PowerProfile,
+    _draw,
     batch_stats,
     new_instance,
     sample_outcome,
 )
 from .errors import TiedOptimum
 from .policies import (
+    RHO_FLOOR,
     TS_KNOWN,
     TS_UNKNOWN,
     ORACLE,
+    UNIFORM,
     WTS,
+    PolicyState,
+    _fold_arm,
+    _fold_powers,
     make_policy,
     observe,
     policy_step,
@@ -84,8 +94,9 @@ def _simpson(y: np.ndarray, dx: float) -> float:
 # weighted statistics
 
 def check_batch_equivalence(rng) -> CheckResult:
-    """Incremental update folded over a trajectory equals the batch formula
-    (1000 trajectories of 2 to 1000 rounds, a fifth of them at zero power)."""
+    """The engine's one-arm fold over a trajectory equals the batch formula
+    (1000 trajectories of 2 to 1000 rounds, a fifth of them at zero power,
+    which the engine never folds)."""
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 1001))
@@ -94,35 +105,36 @@ def check_batch_equivalence(rng) -> CheckResult:
         if not np.any(powers > 0.0):
             powers[0] = 0.5
         xs = rng.normal(size=(n, 2))
-        st = ArmStats()
-        for p, x in zip(powers, xs):
-            st.update(p, x if p > 0.0 else None)
+        st = PolicyState(UNIFORM, 1)
+        for p, (x0, x1) in zip(powers.tolist(), xs.tolist()):
+            if p > 0.0:
+                _fold_arm(st, 0, p, x0, x1)
         ref = batch_stats(powers, xs)
         scale = max(abs(ref.S), abs(ref.z), 1e-12)
-        err = max(abs(st.z - ref.z) / max(ref.z, 1e-12),
-                  float(np.max(np.abs(st.xbar - ref.xbar)))
+        err = max(abs(st.z[0] - ref.z) / max(ref.z, 1e-12),
+                  float(np.max(np.abs(st.mean[0] - ref.xbar)))
                   / max(float(np.max(np.abs(ref.xbar))), 1e-12),
-                  abs(st.S - ref.S) / scale)
+                  abs(st.S[0] - ref.S) / scale)
         worst = max(worst, err)
     return _result("stats-batch-equivalence", worst < 1e-9,
                    f"max rel err {worst:.3g}", "< 1e-9")
 
 
 def _simulate_stats(rng, n, powers, mu, sigma2):
-    """Vectorised n-fold draw of (xbar, S) under a fixed power trajectory."""
-    powers = np.asarray(powers, dtype=np.float64)
-    t = powers.shape[0]
-    z = powers.sum()
-    scale = np.sqrt(sigma2 / (2.0 * powers))
-    x = mu + scale[:, None] * rng.normal(size=(n, t, 2))
-    xbar = (powers[:, None] * x).sum(axis=1) / z
-    dev = x - xbar[:, None, :]
-    S = (powers[None, :] * (dev * dev).sum(axis=2)).sum(axis=1)
-    return xbar, S, z
+    """n replications of (xbar, S, z) under a fixed power trajectory, run on
+    the round engine: replication i is arm i of one n-arm state, and each
+    round is :func:`_draw` then :func:`_fold_powers`."""
+    g = rng.normal(size=(n, len(powers), 2))
+    variances = np.full(n, sigma2)
+    st = PolicyState(UNIFORM, n)
+    for i, p in enumerate(powers):
+        p = np.full(n, p)
+        _fold_powers(st, p, _draw(mu, variances, p, g[:, i]))
+    return st.mean, st.S, st.z[0]
 
 
 def check_mean_law(rng) -> CheckResult:
-    """xbar is Gaussian around mu with per-coordinate variance sigma^2/(2z)."""
+    """xbar is Gaussian around mu with covariance sigma^2/(2z) I."""
     mu = np.array([0.7, -1.1])
     sigma2 = 1.3
     powers = [1.0, 0.5, 0.25, 0.8, 0.3, 0.15]
@@ -131,11 +143,12 @@ def check_mean_law(rng) -> CheckResult:
     var_target = sigma2 / (2.0 * z)
     se_mean = math.sqrt(var_target / n)
     mean_err = float(np.max(np.abs(xbar.mean(axis=0) - mu)))
-    var_ratio = float(np.max(np.abs(xbar.var(axis=0) / var_target - 1.0)))
-    ok = mean_err < 3 * se_mean and var_ratio < 0.05
+    cov = np.cov(xbar, rowvar=False, bias=True) / var_target
+    cov_dev = float(np.max(np.abs(cov - np.eye(2))))
+    ok = mean_err < 3 * se_mean and cov_dev < 0.05
     return _result("mean-gaussian-law", ok,
-                   f"mean err {mean_err:.2e}, var ratio dev {var_ratio:.3f}",
-                   f"mean < {3*se_mean:.2e}, var dev < 0.05")
+                   f"mean err {mean_err:.2e}, cov dev {cov_dev:.3f}",
+                   f"mean < {3*se_mean:.2e}, |cov/target - I| < 0.05")
 
 
 def check_chi2_law(rng, sigma2_scale: float = 1.0) -> CheckResult:
@@ -367,29 +380,33 @@ def _play(instance, kind, T, seed, mc_samples=1024, key=90):
 
 
 def check_warmup_and_floor() -> CheckResult:
-    """WTS warm-up is exactly uniform; after it, every power stays > 0."""
+    """WTS warm-up is exactly uniform; after it, every power stays at or
+    above the floor RHO_FLOOR / (K (1 + RHO_FLOOR)) that renormalising the
+    floored belief leaves."""
     _, profiles = _play(new_instance(*_INSTANCE3), WTS, 50, seed=123,
                         mc_samples=512, key=91)
     uniform_ok = all(np.all(pr.p == 1.0 / 3.0) for pr in profiles[:3])
     min_power = min(float(pr.p.min()) for pr in profiles)
-    ok = uniform_ok and min_power > 0.0
+    floor = RHO_FLOOR / (len(profiles[0]) * (1.0 + RHO_FLOOR))
+    ok = uniform_ok and min_power >= floor
     return _result("wts-warmup-and-floor", ok,
                    f"warmup uniform {uniform_ok}, min power {min_power:.2e}",
-                   "uniform and > 0")
+                   f"uniform and >= {floor:.2e}")
 
 
 def check_one_hot_baselines() -> CheckResult:
-    """TS baselines and the oracle only ever emit one-hot profiles."""
+    """TS baselines and the oracle only ever emit one-hot profiles, and the
+    oracle's is on the best arm in every round."""
     instance = new_instance(*_INSTANCE3)
     ok = True
     for kind in (TS_KNOWN, TS_UNKNOWN, ORACLE):
-        state, _ = _play(instance, kind, 60, seed=7)
+        state, played = _play(instance, kind, 60, seed=7)
         rng_pol = rng_streams.stream(8, 92, 0, rng_streams.POLICY)
         for _ in range(5):
-            p = policy_step(state, rng_pol).p
-            ok &= p.max() == 1.0 and p.sum() == 1.0
-    state, _ = _play(instance, ORACLE, 30, seed=9)
-    ok &= policy_step(state, rng_pol).p[instance.k_star] == 1.0
+            played.append(policy_step(state, rng_pol))
+        ok &= all(p.p.max() == 1.0 and p.p.sum() == 1.0 for p in played)
+        if kind == ORACLE:
+            ok &= all(p.p[instance.k_star] == 1.0 for p in played)
     return _result("one-hot-baselines", ok, "profiles one-hot", "one-hot")
 
 

@@ -148,14 +148,9 @@ def gain_config(seed):
         h_coeffs=np.array([0.5]), K=6)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("make_cfg", [simulate_config, gain_config],
-                         ids=["simulate", "gain"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_engine_matches_scalar_loop(kind, make_cfg, seed):
-    cfg = make_cfg(seed)
-    rows, snaps, cum = reference_replication(cfg, kind, 1)
-    out = run_replication(cfg, kind, 1)
+def assert_matches_reference(out, cfg, rows, snaps, cum):
+    """``out`` of :func:`run_replication` equals what
+    :func:`reference_replication` returned for the same task."""
     names = ("t", "regret_step", "regret_cum", "beta_hat", "k_hat")
     for name, want in zip(names, zip(*rows)):
         assert getattr(out, name).tolist() == list(want), name
@@ -165,6 +160,16 @@ def test_engine_matches_scalar_loop(kind, make_cfg, seed):
     assert set(out.z_snapshots) == set(snaps)
     for t, z in snaps.items():
         np.testing.assert_array_equal(out.z_snapshots[t], z)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("make_cfg", [simulate_config, gain_config],
+                         ids=["simulate", "gain"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_engine_matches_scalar_loop(kind, make_cfg, seed):
+    cfg = make_cfg(seed)
+    assert_matches_reference(run_replication(cfg, kind, 1), cfg,
+                             *reference_replication(cfg, kind, 1))
 
 
 @pytest.mark.parametrize("K,M", [(5, 512), (16, 1024)])
@@ -181,6 +186,13 @@ def _generator(case, seed):
         gen.random(1, dtype=np.float32)
         return gen
     return np.random.Generator(getattr(np.random, case)(seed))
+
+
+def assert_same_state(rng, ref):
+    # the float32 draw also reads a buffered half-word, float64 does not
+    np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
+                                  ref.random(3, dtype=np.float32))
+    np.testing.assert_array_equal(rng.random(9), ref.random(9))
 
 
 @pytest.mark.parametrize("case", ["MT19937", "Philox", "SFC64",
@@ -210,10 +222,7 @@ def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
         got = _rho_counts(z, S, t, xbar, M, _uniform_bits(rng, K, M, 1)[0],
                           draws)
         np.testing.assert_array_equal(got, want, err_msg=f"seed={seed}")
-        # the float32 draw also reads a buffered half-word, float64 does not
-        np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
-                                      ref_rng.random(3, dtype=np.float32))
-        np.testing.assert_array_equal(rng.random(9), ref_rng.random(9))
+        assert_same_state(rng, ref_rng)
 
 
 def _assert_batch_equal(state, powers, xs):

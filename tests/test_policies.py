@@ -23,10 +23,8 @@ from spreadbandits.errors import (
 )
 from spreadbandits.policies import (
     KINDS,
-    RHO_FLOOR,
     TS_KNOWN_WARMUP_PASSES,
     TS_UNKNOWN_WARMUP_PASSES,
-    WTS_WARMUP_ROUNDS,
 )
 
 
@@ -82,36 +80,9 @@ class TestMakePolicy:
 
 
 class TestWts:
-    def test_warmup_is_uniform(self):
-        inst = instance()
-        st = make_policy("wts", inst)
-        rng = np.random.default_rng(0)
-        for t in range(1, WTS_WARMUP_ROUNDS + 1):
-            prof = policy_step(st, rng)
-            assert st.round == t
-            np.testing.assert_array_equal(prof.p, np.full(4, 0.25))
-            observe(st, prof, sample_outcome(inst, prof, rng))
-
-    def test_post_warmup_all_positive(self):
-        inst = instance()
-        st = make_policy("wts", inst, 512)
-        rng = np.random.default_rng(1)
-        prof = play_rounds(st, inst, rng, WTS_WARMUP_ROUNDS + 5)
-        assert prof.p.min() > 0.0
-        assert prof.p.min() >= RHO_FLOOR / (4 * prof.p.sum()) * 0.99
-
-    def test_belief_tracks_dominant_arm(self):
-        # wide gaps: after some rounds most power sits on the true best arm
-        inst = instance()
-        st = make_policy("wts", inst, 1024)
-        rng = np.random.default_rng(2)
-        prof = play_rounds(st, inst, rng, 60)
-        assert int(np.argmax(prof.p)) == inst.k_star
-        assert prof.p[inst.k_star] > 0.9
-
     def test_degenerate_stats_guard(self):
-        # S = 0 cannot arise from the uniform warm-up, but a hand-built
-        # state must fail loudly rather than emit NaN power
+        # S = 0 (a hand-built state here; in a run, variances far below
+        # the means' scale) must fail loudly rather than emit NaN power
         st = PolicyState("wts", 3, round=4, mc_samples=16)
         with pytest.raises(InsufficientData):
             policy_step(st, np.random.default_rng(0))
@@ -134,14 +105,6 @@ class TestTsBaselines:
             observe(st, prof, sample_outcome(inst, prof, rng))
 
     @pytest.mark.parametrize("kind", ["ts_known", "ts_unknown"])
-    def test_one_hot_after_warmup(self, kind):
-        inst = instance()
-        st = make_policy(kind, inst)
-        rng = np.random.default_rng(4)
-        prof = play_rounds(st, inst, rng, 3 * 4 + 6)
-        assert sorted(prof.p.tolist()) == [0.0, 0.0, 0.0, 1.0]
-
-    @pytest.mark.parametrize("kind", ["ts_known", "ts_unknown"])
     def test_finds_best_arm(self, kind):
         inst = instance()
         st = make_policy(kind, inst)
@@ -158,15 +121,6 @@ class TestTsBaselines:
 
 
 class TestFixedBaselines:
-    def test_oracle_plays_best_arm_always(self):
-        inst = instance()
-        st = make_policy("oracle", inst)
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            prof = policy_step(st, rng)
-            assert prof.p[inst.k_star] == 1.0
-            observe(st, prof, sample_outcome(inst, prof, rng))
-
     def test_uniform_is_flat_always(self):
         inst = instance()
         st = make_policy("uniform", inst)
@@ -232,12 +186,3 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             profs.append(play_rounds(st, inst, rng, 20).p)
         np.testing.assert_array_equal(profs[0], profs[1])
-
-    def test_different_seeds_differ(self):
-        inst = instance()
-        profs = []
-        for seed in (0, 1):
-            st = make_policy("wts", inst, 512)
-            rng = np.random.default_rng(seed)
-            profs.append(play_rounds(st, inst, rng, 10).p)
-        assert not np.array_equal(profs[0], profs[1])

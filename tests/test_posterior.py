@@ -114,8 +114,9 @@ class TestSampler:
         rng = np.random.default_rng(3)
         assert sample_posterior(params(), rng).shape == (2,)
         assert sample_posterior(params(), rng, size=5).shape == (5, 2)
-        with pytest.raises(InvalidParams):
-            sample_posterior(params(), rng, size=0)
+        for bad in (0, 2.5, "3"):
+            with pytest.raises(InvalidParams, match="size"):
+                sample_posterior(params(), rng, size=bad)
 
     def test_radius_distribution_ks(self):
         # independent oracle: KS test against the closed-form radial CDF
@@ -147,11 +148,6 @@ class TestEstimateRho:
         rho = estimate_rho([far, near], 1000, np.random.default_rng(7))
         assert rho.tolist() == [1.0, 0.0]
 
-    def test_identical_arms_split_evenly(self):
-        q = [params(2.0, (1.0, 0.5), 1.2, 7) for _ in range(2)]
-        rho = estimate_rho(q, 100000, np.random.default_rng(8))
-        assert abs(rho[0] - 0.5) < 0.01
-
     def test_sums_to_one_exactly(self):
         q = [params(1.0 + k, (0.5 * k, 0.1), 1.0, 6) for k in range(4)]
         rho = estimate_rho(q, 999, np.random.default_rng(9))
@@ -159,9 +155,12 @@ class TestEstimateRho:
         assert np.all(rho >= 0.0)
 
     def test_zero_samples_rejected(self):
+        # a count that is not an integer >= 1 is rejected, not truncated
         q = [params(), params()]
-        with pytest.raises(InvalidParams, match="mc_samples must be >= 1"):
-            estimate_rho(q, 0, np.random.default_rng(0))
+        for bad in (0, 2.5, "3"):
+            with pytest.raises(InvalidParams,
+                               match="mc_samples must be an integer >= 1"):
+                estimate_rho(q, bad, np.random.default_rng(0))
 
     def test_single_arm_rejected(self):
         with pytest.raises(TooFewArms):

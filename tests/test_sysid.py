@@ -102,29 +102,6 @@ class TestGridFromFir:
 
 
 class TestRunExperiment:
-    def test_variance_law(self):
-        # |H| = 2, full power on one bin: per-coordinate variance
-        # |H|^2 / (2 p) = 2
-        prob = grid_from_fir([0.5, 0.5], [2.0], 2)
-        prof = PowerProfile.one_hot(2, 0)
-        rng = np.random.default_rng(14)
-        draws = np.array([sample_outcome(prob.instance, prof, rng).values[0]
-                          for _ in range(100000)])
-        np.testing.assert_allclose(draws.var(axis=0, ddof=1), [2.0, 2.0],
-                                   rtol=0.02)
-        np.testing.assert_allclose(draws.mean(axis=0),
-                                   [prob.g_resp[0].real, prob.g_resp[0].imag],
-                                   atol=0.02)
-
-    def test_isotropic_components(self):
-        prob = grid_from_fir([0.5, 0.5], [1.0], 2)
-        prof = PowerProfile.uniform(2)
-        rng = np.random.default_rng(15)
-        draws = np.array([sample_outcome(prob.instance, prof, rng).values[1]
-                          for _ in range(100000)])
-        corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
-        assert abs(corr) < 0.02
-
     def test_zero_power_bin_unexcited(self):
         prob = grid_from_fir([0.5, 0.5], [1.0], 3)
         prof = PowerProfile(np.array([0.5, 0.0, 0.5]))
