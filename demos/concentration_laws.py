@@ -14,13 +14,14 @@ closed forms, then shows the large-deviation bound on the scatter.
 import numpy as np
 
 from spreadbandits import (
+    PowerProfile,
+    batch_stats,
     chi2_cdf_even,
     mean_exceedance,
     new_instance,
     sample_outcome,
     variance_tail_bound,
 )
-from spreadbandits.core import ArmStats, PowerProfile
 
 REPS = 50000
 ROUNDS = 10
@@ -37,13 +38,11 @@ print(f"arm mean {instance.means[0]}, sigma^2 = {SIGMA2}, "
 exceed = 0
 scatters = np.empty(REPS)
 for r in range(REPS):
-    st = ArmStats()
-    for _ in range(ROUNDS):
-        out = sample_outcome(instance, profile, rng)
-        st.update(1.0, out.values[0])
-    if np.hypot(*(st.xbar - instance.means[0])) >= EPS:
+    xs = [sample_outcome(instance, profile, rng).values[0]
+          for _ in range(ROUNDS)]
+    _, xbar, scatters[r] = batch_stats(np.ones(ROUNDS), xs)
+    if np.hypot(*(xbar - instance.means[0])) >= EPS:
         exceed += 1
-    scatters[r] = st.S
 
 freq = exceed / REPS
 exact = mean_exceedance(float(ROUNDS), SIGMA2, EPS)

@@ -10,7 +10,6 @@ simulation runner and CLI.
 """
 
 from .core import (
-    ArmStats,
     BanditInstance,
     Outcome,
     PowerProfile,
@@ -65,7 +64,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmStats", "BanditInstance", "Outcome", "PowerProfile",
+    "BanditInstance", "Outcome", "PowerProfile",
     "batch_stats", "new_instance", "sample_outcome",
     "PosteriorParams", "estimate_rho",
     "posterior_density", "posterior_radial_tail", "sample_posterior",

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import new_instance
-from .errors import BanditError, ParseError, ValidationError
+from .errors import BanditError, InvalidParams, ParseError, ValidationError
 from .policies import KINDS
+from .posterior import _count
 from .sysid import grid_from_fir
 
 MODES = ("simulate", "gain", "verify")
@@ -84,13 +85,11 @@ class RunConfig:
                                   f"got {self.mode!r}")
         for key, low in _MINIMA.items():
             val = getattr(self, key)
-            if val is None:
-                continue
-            if not isinstance(val, (int, np.integer)):
-                raise ValidationError(
-                    f"{key}: expected an integer, got {val!r}")
-            if val < low:
-                raise ValidationError(f"{key}: must be >= {low}, got {val}")
+            if val is not None:
+                try:  # the one count rule, and the field keeps the int
+                    object.__setattr__(self, key, _count(val, key, low))
+                except InvalidParams as e:
+                    raise ValidationError(str(e)) from None
         if not self.policies:
             raise ValidationError("policies: empty list")
         for name in self.policies:
@@ -128,7 +127,7 @@ class RunConfig:
             val = getattr(self, f.name)
             if val is None and "section" in f.metadata:
                 continue
-            if isinstance(val, (np.ndarray, np.integer)):
+            if isinstance(val, np.ndarray):
                 val = val.tolist()
             elif isinstance(val, tuple):
                 val = list(val)

@@ -16,10 +16,9 @@ Per-arm evidence is summarised by power-weighted statistics
 which are sufficient for (mu_k, sigma_k^2): conditioned on the powers,
 ``xbar ~ N(mu, sigma^2/(2 z) I_2)`` and ``2 S / sigma^2`` is chi-square with
 ``2 (t - 1)`` degrees of freedom, independent of ``xbar`` (t = number of
-positive-power observations).  :class:`ArmStats` maintains them for one arm
-with a weighted incremental update; the policies apply the same update to
-all arms at once in arrays (:class:`spreadbandits.policies.PolicyState`),
-with ArmStats as its scalar reference.  :func:`batch_stats` recomputes them
+positive-power observations).  The policies keep them for all arms in
+arrays (:class:`spreadbandits.policies.PolicyState`) and fold each round in
+with a weighted incremental update; :func:`batch_stats` recomputes them
 from the raw history and is kept as a cross-check oracle.
 """
 
@@ -32,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     InvalidProfile,
-    MissingObservation,
     NonPositiveVariance,
     TiedOptimum,
     TooFewArms,
@@ -210,66 +208,8 @@ def sample_outcome(instance: BanditInstance, profile: PowerProfile,
     return Outcome(values)
 
 
-class ArmStats:
-    """Weighted sufficient statistics of one arm, updated incrementally.
-
-    The update is the weighted single-pass mean/scatter recurrence: with
-    prior weight ``z`` and a new observation ``x`` of weight ``p``,
-
-        z'    = z + p
-        xbar' = xbar + (p / z') (x - xbar)
-        S'    = S + p (x - xbar) . (x - xbar')
-
-    which reproduces the batch definitions exactly (up to roundoff) while
-    touching each observation once.  A zero-power round leaves (z, xbar, S)
-    unchanged and only advances the round counter.
-    """
-
-    __slots__ = ("z", "mean_x", "mean_y", "S", "rounds")
-
-    def __init__(self, z: float = 0.0, xbar=(0.0, 0.0), S: float = 0.0,
-                 rounds: int = 0):
-        self.z = float(z)
-        self.mean_x = float(xbar[0])
-        self.mean_y = float(xbar[1])
-        self.S = float(S)
-        self.rounds = int(rounds)
-
-    @property
-    def xbar(self) -> np.ndarray:
-        return np.array([self.mean_x, self.mean_y])
-
-    def update(self, p: float, x=None) -> None:
-        """Fold in one observation of weight ``p`` (in place)."""
-        if p < 0.0:
-            raise InvalidProfile(f"power must be nonnegative, got {p}")
-        if p > 0.0:
-            if x is None:
-                raise MissingObservation(
-                    "positive power requires an observed value")
-            x0 = float(x[0])
-            x1 = float(x[1])
-            z1 = self.z + p
-            dx = x0 - self.mean_x
-            dy = x1 - self.mean_y
-            f = p / z1
-            self.mean_x += f * dx
-            self.mean_y += f * dy
-            self.S += p * (dx * (x0 - self.mean_x) + dy * (x1 - self.mean_y))
-            self.z = z1
-        self.rounds += 1
-
-    def copy(self) -> "ArmStats":
-        return ArmStats(self.z, (self.mean_x, self.mean_y), self.S,
-                        self.rounds)
-
-    def __repr__(self) -> str:
-        return (f"ArmStats(z={self.z!r}, xbar=({self.mean_x!r}, "
-                f"{self.mean_y!r}), S={self.S!r}, rounds={self.rounds})")
-
-
-def batch_stats(powers, xs) -> ArmStats:
-    """Recompute (z, xbar, S) from a full history in one pass.
+def batch_stats(powers, xs) -> tuple:
+    """``(z, xbar, S)`` of a full history, recomputed in one pass.
 
     Zero-power entries are skipped (their ``xs`` rows are ignored and may
     hold anything).  Kept as the reference against which the incremental
@@ -294,4 +234,4 @@ def batch_stats(powers, xs) -> ArmStats:
     xbar = (w[:, None] * x).sum(axis=0) / z
     dev = x - xbar
     S = (w * (dev * dev).sum(axis=1)).sum()
-    return ArmStats(z, xbar, S, rounds=n)
+    return float(z), xbar, float(S)

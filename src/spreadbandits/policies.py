@@ -81,8 +81,8 @@ class PolicyState:
     policy's fixed facts.
 
     ``z`` and ``S`` (shape (K,)) and ``mean`` (shape (K, 2)) are the
-    power-weighted statistics of :class:`spreadbandits.core.ArmStats`, one
-    entry per arm.  ``round`` is the 1-based index of the round about to be
+    power-weighted statistics ``(z, xbar, S)`` of :mod:`spreadbandits.core`,
+    one entry per arm.  ``round`` is the 1-based index of the round about to be
     played.  ``mc_samples`` is set for ``wts``, ``sigma2`` for ``ts_known``
     and ``k_star`` for ``oracle``; each is None otherwise.
     """
@@ -254,7 +254,9 @@ def _choose(state: PolicyState, noise):
 
 def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
     """Fold observations ``x`` (K, 2) made at powers ``p`` (every p_k > 0)
-    into all arms: :meth:`ArmStats.update`, elementwise, in its order."""
+    into all arms by the weighted single-pass recurrence ``z' = z + p``,
+    ``xbar' = xbar + (p / z') (x - xbar)``, ``S' = S + p (x - xbar) . (x -
+    xbar')``: :func:`spreadbandits.core.batch_stats` up to roundoff."""
     d = x - state.mean
     state.z += p
     f = p / state.z
@@ -266,7 +268,7 @@ def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
 def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
               x1: float) -> None:
     """Fold one observation (x0, x1) at power ``p > 0`` into arm ``k``
-    alone: :meth:`ArmStats.update` in Python floats."""
+    alone: :func:`_fold_powers`'s recurrence, in its order, in floats."""
     mean = state.mean
     mx = mean.item(k, 0)
     my = mean.item(k, 1)

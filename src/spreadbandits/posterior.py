@@ -87,15 +87,17 @@ class PosteriorParams:
         object.__setattr__(self, "t", t)
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int; it must be an integer >= 1 (a float or string
-    is not silently truncated)."""
+def _count(value, name: str, low: int = 1) -> int:
+    """``value`` as an int; it must be an integer >= ``low``.  A float
+    counts when integral (nothing is truncated), a string or a bool never."""
     try:
-        ok = value >= 1 and value == int(value)
+        ok = (not isinstance(value, (bool, np.bool_)) and value >= low
+              and value == int(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise InvalidParams(f"{name} must be an integer >= 1, got {value!r}")
+        raise InvalidParams(
+            f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 

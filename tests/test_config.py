@@ -191,9 +191,10 @@ class TestRoundTrip:
         d = parse_config(GAIN).to_dict()
         json.dumps(d)
         assert d["K"] == 4
-        # integer fields may be numpy integers when built in Python
-        assert json.loads(json.dumps(
-            RunConfig(mode="verify", seed=np.int64(3)).to_dict()))["seed"] == 3
+        # built in Python, an integer field may be a numpy int or 3.0
+        for seed in (np.int64(3), 3.0):
+            cfg = RunConfig(mode="verify", seed=seed)
+            assert json.dumps(cfg.to_dict()["seed"]) == "3" == str(cfg.seed)
 
     def test_comments_ignored(self):
         cfg = parse_config(SIMULATE + "# trailing comment\nseed = 4  # four\n")
@@ -205,8 +206,8 @@ class TestRoundTrip:
 
     def test_rule_message_names_field_alone(self):
         # the value may come from --seed or a Python call, not a [run] line
-        with pytest.raises(ValidationError, match=r"^seed: must be >= 0, "
-                                                  r"got -1$"):
+        with pytest.raises(ValidationError,
+                           match=r"^seed must be an integer >= 0, got -1$"):
             RunConfig(mode="verify", seed=-1)
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

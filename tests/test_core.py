@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spreadbandits import (
-    ArmStats,
     Outcome,
     PowerProfile,
     batch_stats,
@@ -15,7 +14,6 @@ from spreadbandits.errors import (
     DimensionMismatch,
     InsufficientData,
     InvalidProfile,
-    MissingObservation,
     NonPositiveVariance,
     TiedOptimum,
     TooFewArms,
@@ -115,74 +113,25 @@ class TestPowerProfile:
         raw[0] = 0.3  # the profile took a copy
 
 
-class TestArmStats:
-    def test_two_unit_updates(self):
-        # z=2, xbar=(1,0), S = 1*|(-1,0)|^2 + 1*|(1,0)|^2 = 2
-        st = ArmStats()
-        st.update(1.0, np.array([0.0, 0.0]))
-        st.update(1.0, np.array([2.0, 0.0]))
-        assert st.z == pytest.approx(2.0)
-        assert st.xbar == pytest.approx((1.0, 0.0))
-        assert st.S == pytest.approx(2.0)
-        assert st.rounds == 2
-
-    def test_single_update_zero_scatter(self):
-        st = ArmStats()
-        st.update(0.3, np.array([5.0, -5.0]))
-        assert st.z == pytest.approx(0.3)
-        assert st.xbar == pytest.approx((5.0, -5.0))
-        assert st.S == 0.0
+class TestBatchStats:
+    def test_constant_data_zero_scatter(self):
+        _, xbar, S = batch_stats([1.0, 1.0, 1.0],
+                                 [(1.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
+        assert xbar == pytest.approx((1.0, 0.0))
+        assert S == pytest.approx(0.0, abs=1e-15)
 
     def test_weighted_pair(self):
         # hand evaluation: xbar=(1,0), S = 0.25*9 + 0.75*1 = 3
-        st = ArmStats()
-        st.update(0.25, np.array([4.0, 0.0]))
-        st.update(0.75, np.array([0.0, 0.0]))
-        assert st.z == pytest.approx(1.0)
-        assert st.xbar == pytest.approx((1.0, 0.0))
-        assert st.S == pytest.approx(3.0)
-
-    def test_zero_power_only_counts_round(self):
-        st = ArmStats()
-        st.update(1.0, np.array([1.0, 2.0]))
-        st2 = st.copy()
-        st2.update(0.0)
-        assert (st2.z, st2.S) == (st.z, st.S)
-        assert np.array_equal(st2.xbar, st.xbar)
-        assert st2.rounds == st.rounds + 1
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(InvalidProfile, match="power must be nonnegative"):
-            ArmStats().update(-0.1, np.array([0.0, 0.0]))
-
-    def test_positive_power_needs_observation(self):
-        with pytest.raises(MissingObservation):
-            ArmStats().update(0.5, None)
-
-    def test_inplace_update_mutates(self):
-        st = ArmStats()
-        st.update(1.0, np.array([1.0, 1.0]))
-        assert st.z == 1.0 and st.rounds == 1
-
-
-class TestBatchStats:
-    def test_constant_data_zero_scatter(self):
-        st = batch_stats([1.0, 1.0, 1.0],
-                         [(1.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
-        assert st.xbar == pytest.approx((1.0, 0.0))
-        assert st.S == pytest.approx(0.0, abs=1e-15)
-
-    def test_weighted_pair(self):
-        st = batch_stats([0.25, 0.75], [(4.0, 0.0), (0.0, 0.0)])
-        assert st.z == pytest.approx(1.0)
-        assert st.xbar == pytest.approx((1.0, 0.0))
-        assert st.S == pytest.approx(3.0)
+        z, xbar, S = batch_stats([0.25, 0.75], [(4.0, 0.0), (0.0, 0.0)])
+        assert z == pytest.approx(1.0)
+        assert xbar == pytest.approx((1.0, 0.0))
+        assert S == pytest.approx(3.0)
 
     def test_zero_power_point_ignored(self):
-        st = batch_stats([2.0, 0.0], [(1.0, 1.0), (9.0, 9.0)])
-        assert st.xbar == pytest.approx((1.0, 1.0))
-        assert st.S == pytest.approx(0.0, abs=1e-15)
-        assert st.rounds == 2
+        z, xbar, S = batch_stats([2.0, 0.0], [(1.0, 1.0), (9.0, 9.0)])
+        assert z == 2.0
+        assert xbar == pytest.approx((1.0, 1.0))
+        assert S == pytest.approx(0.0, abs=1e-15)
 
     def test_all_zero_rejected(self):
         with pytest.raises(InsufficientData,

@@ -1,11 +1,14 @@
-"""The array round engine against the scalar loop it replaced.
+"""The array round engine, and its block-read streams, against the scalar
+loop they replaced.
 
-``reference_replication`` is the per-round loop of the runner before the
-policies kept their statistics in arrays: a list of :class:`ArmStats`, a
-validated :class:`PowerProfile` and :class:`Outcome` every round, and
-:func:`regret_step`.  The engine must reproduce its recorded columns,
-power snapshots and final regret exactly, for every policy kind, in both
-run modes.
+``reference_replication`` is the runner's per-round loop before the
+policies kept their statistics in arrays: per arm a :class:`ScalarArm`, the
+fold written out apart from the engine's, a validated :class:`PowerProfile`
+and :class:`Outcome` every round, and :func:`regret_step`.  The engine must
+reproduce its recorded columns, power snapshots and final regret exactly,
+for every policy kind, in both run modes, at any stream block size.  Read
+back a round at a time, each block fill must also equal one single-round
+fill per round and leave the generator where those leave it.
 """
 
 import numpy as np
@@ -16,11 +19,15 @@ from spreadbandits import (
     Outcome,
     PowerProfile,
     RunConfig,
+    make_policy,
+    new_instance,
+    observe,
     regret_step,
     run_replication,
+    sample_outcome,
 )
 from spreadbandits import rng as rng_streams
-from spreadbandits.core import ArmStats, batch_stats
+from spreadbandits.core import batch_stats
 from spreadbandits.policies import (
     KIND_IDS,
     RHO_FLOOR,
@@ -28,13 +35,34 @@ from spreadbandits.policies import (
     TS_UNKNOWN_WARMUP_PASSES,
     WTS_WARMUP_ROUNDS,
     PolicyState,
+    _env_fill,
     _fold_arm,
     _fold_powers,
+    _policy_fill,
 )
 from spreadbandits.config import build_instance
 from spreadbandits.posterior import _rho_counts, _uniform_bits
 
 SEEDS = (0, 1, 2)
+
+
+class ScalarArm:
+    """One arm's ``(z, xbar, S)``, folded in Python floats by the weighted
+    single-pass recurrence; a round at zero power folds nothing."""
+
+    def __init__(self):
+        self.z = self.mx = self.my = self.S = 0.0
+
+    def update(self, p, x):
+        if p > 0.0:
+            x0, x1 = float(x[0]), float(x[1])
+            z1 = self.z + p
+            dx, dy = x0 - self.mx, x1 - self.my
+            f = p / z1
+            self.mx += f * dx
+            self.my += f * dy
+            self.S += p * (dx * (x0 - self.mx) + dy * (x1 - self.my))
+            self.z = z1
 
 
 def reference_rho_counts(z, S, t, xbar, M, rng):
@@ -57,11 +85,11 @@ def reference_rho_counts(z, S, t, xbar, M, rng):
 
 
 def reference_profile(kind, per_arm, t, instance, M, rng):
-    """The profile each policy played, computed from a list of ArmStats."""
+    """The profile each policy played, from a list of :class:`ScalarArm`."""
     K = len(per_arm)
     z = np.array([st.z for st in per_arm])
     S = np.array([st.S for st in per_arm])
-    xbar = np.array([(st.mean_x, st.mean_y) for st in per_arm])
+    xbar = np.array([(st.mx, st.my) for st in per_arm])
     if kind == "uniform" or (kind == "wts" and t <= WTS_WARMUP_ROUNDS):
         return PowerProfile.uniform(K)
     if kind == "oracle":
@@ -107,7 +135,7 @@ def reference_replication(cfg, kind, replication):
                                  rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.POLICY)
-    per_arm = [ArmStats() for _ in range(instance.n_arms)]
+    per_arm = [ScalarArm() for _ in range(instance.n_arms)]
     T = cfg.T
     snap_at = {max(1, T // 10), T}
     rows, snaps, cum = [], {}, 0.0
@@ -124,7 +152,7 @@ def reference_replication(cfg, kind, replication):
             if cfg.mode == "gain":
                 z = np.array([st.z for st in per_arm])
                 best = per_arm[int(np.argmax(z))]
-                row += (float(np.hypot(best.mean_x, best.mean_y)),
+                row += (float(np.hypot(best.mx, best.my)),
                         int(np.argmax(z)))
             rows.append(row)
         if t in snap_at:
@@ -227,17 +255,17 @@ def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
 
 def _assert_batch_equal(state, powers, xs):
     for k in range(state.n_arms):
-        bat = batch_stats(powers[:, k], xs[:, k])
-        assert np.isclose(state.z[k], bat.z, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.mean[k], bat.xbar, rtol=1e-9, atol=1e-9)
-        assert np.isclose(state.S[k], bat.S, rtol=1e-9, atol=1e-9)
+        z, xbar, S = batch_stats(powers[:, k], xs[:, k])
+        assert np.isclose(state.z[k], z, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.mean[k], xbar, rtol=1e-9, atol=1e-9)
+        assert np.isclose(state.S[k], S, rtol=1e-9, atol=1e-9)
 
 
 def _assert_same_bits(state, ref):
-    # the array update is ArmStats.update's arithmetic, bit for bit
+    # the array update is ScalarArm.update's arithmetic, bit for bit
     assert state.z.tolist() == [st.z for st in ref]
     assert state.S.tolist() == [st.S for st in ref]
-    assert state.mean.tolist() == [[st.mean_x, st.mean_y] for st in ref]
+    assert state.mean.tolist() == [[st.mx, st.my] for st in ref]
 
 
 def test_dense_fold_matches_batch_and_arm_stats():
@@ -247,7 +275,7 @@ def test_dense_fold_matches_batch_and_arm_stats():
         powers = rng.dirichlet(np.ones(K), size=n)
         xs = rng.normal(size=(n, K, 2)) * 3.0
         state = PolicyState("uniform", K)
-        ref = [ArmStats() for _ in range(K)]
+        ref = [ScalarArm() for _ in range(K)]
         for i in range(n):
             _fold_powers(state, powers[i], xs[i])
             for k, st in enumerate(ref):
@@ -265,9 +293,112 @@ def test_one_hot_fold_matches_batch_and_arm_stats():
         powers[np.arange(n), arms] = 1.0
         xs = rng.normal(size=(n, K, 2)) * 3.0
         state = PolicyState("ts_unknown", K)
-        ref = [ArmStats() for _ in range(K)]
+        ref = [ScalarArm() for _ in range(K)]
         for i, k in enumerate(arms.tolist()):
             _fold_arm(state, k, 1.0, xs[i, k, 0], xs[i, k, 1])
             ref[k].update(1.0, xs[i, k])
         _assert_batch_equal(state, powers, xs)
         _assert_same_bits(state, ref)
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.0, 0.3, 0.2],
+                               [0.1, 0.2, 0.3, 0.4],
+                               [0.0, 1.0, 0.0, 0.0]])
+def test_observe_matches_scalar_reference(p):
+    # the validated observe, on a sparse, a dense and a one-hot profile
+    inst = new_instance([[2.0, 0.0], [1.5, 0.0], [1.0, 0.0], [0.5, 0.0]],
+                        [0.5] * 4)
+    st = make_policy("uniform", inst)
+    ref = [ScalarArm() for _ in range(4)]
+    prof = PowerProfile(np.array(p))
+    rng = np.random.default_rng(9)
+    for _ in range(6):
+        out = sample_outcome(inst, prof, rng)
+        observe(st, prof, out)
+        for k, a in enumerate(ref):
+            a.update(prof.p[k], out.values[k])
+    _assert_same_bits(st, ref)
+
+
+# ---------------------------------------------------------------------------
+# block-read streams
+
+BLOCKS = (1, 2, 3, 7, 64)
+# 16 and 17 arms put the float64 log and cos of ts_unknown's fill past a
+# SIMD width and into its tail
+ARMS = (2, 5, 16, 17)
+GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64", "PCG64_half_word")
+
+
+def check_fill(monkeypatch, make_fill, block, case="PCG64"):
+    """For every K in ARMS, ``3 * block`` rounds of ``make_fill(K)`` read in
+    blocks of ``block`` rounds equal single-round fills of a twin
+    generator, which ends in the same state."""
+    for K in ARMS:
+        fill, nbytes = make_fill(K)
+        rng, ref = _generator(case, K), _generator(case, K)
+        monkeypatch.setattr(rng_streams, "BLOCK_BYTES", block * nbytes)
+        reader = rng_streams.BlockReader(rng, fill, nbytes)
+        for i in range(3 * block):
+            np.testing.assert_array_equal(reader.next(), fill(ref, 1)[0],
+                                          err_msg=f"K={K} round {i}")
+        assert_same_state(rng, ref)
+
+
+@pytest.mark.parametrize("case", GENERATORS)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_wts_words_match_float32_uniforms(monkeypatch, case, block):
+    for M in (1, 63, 512):
+        check_fill(monkeypatch, lambda K: _policy_fill("wts", K, M), block,
+                   case)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_ts_known_normals(monkeypatch, block):
+    check_fill(monkeypatch, lambda K: _policy_fill("ts_known", K, None),
+               block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_ts_unknown_radial_halves(monkeypatch, block):
+    check_fill(monkeypatch, lambda K: _policy_fill("ts_unknown", K, None),
+               block)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "oracle"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_env_noise(monkeypatch, kind, block):
+    # dense kinds draw a (K, 2) normal per round, one-hot kinds a (1, 2)
+    check_fill(monkeypatch, lambda K: _env_fill(kind, K), block)
+
+
+def test_block_size_follows_the_byte_budget(monkeypatch):
+    def fill(rng, rounds):
+        calls.append(rounds)
+        return rng.random((rounds, 4))
+
+    for budget, per_block in ((1, 1), (32, 1), (95, 2), (96, 3)):
+        calls = []
+        monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
+        reader = rng_streams.BlockReader(np.random.default_rng(0), fill, 32)
+        for _ in range(7):
+            reader.next()
+        assert calls == [per_block] * -(-7 // per_block)
+
+
+@pytest.mark.parametrize("mode", ["simulate", "gain"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_trace_does_not_depend_on_block_size(monkeypatch, kind, mode):
+    # budgets that give one round per block, three rounds of the outcome
+    # stream, three rounds of the policy stream, and the default: each run
+    # equals the per-round reference loop
+    cfg = (simulate_config if mode == "simulate" else gain_config)(4)
+    K = cfg.K if mode == "gain" else cfg.means.shape[0]
+    budgets = [1, 3 * _env_fill(kind, K)[1], rng_streams.BLOCK_BYTES]
+    pol = _policy_fill(kind, K, cfg.mc_samples)
+    if pol is not None:
+        budgets.append(3 * pol[1])
+    want = reference_replication(cfg, kind, 2)
+    for budget in budgets:
+        monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
+        assert_matches_reference(run_replication(cfg, kind, 2), cfg, *want)

@@ -155,12 +155,16 @@ class TestEstimateRho:
         assert np.all(rho >= 0.0)
 
     def test_zero_samples_rejected(self):
-        # a count that is not an integer >= 1 is rejected, not truncated
+        # a count that is not an integer >= 1 is rejected, not truncated;
+        # an integral float is that integer
         q = [params(), params()]
-        for bad in (0, 2.5, "3"):
+        for bad in (0, 2.5, "3", True):
             with pytest.raises(InvalidParams,
                                match="mc_samples must be an integer >= 1"):
                 estimate_rho(q, bad, np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            estimate_rho(q, 2.0, np.random.default_rng(0)),
+            estimate_rho(q, 2, np.random.default_rng(0)))
 
     def test_single_arm_rejected(self):
         with pytest.raises(TooFewArms):

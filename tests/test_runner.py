@@ -226,7 +226,8 @@ class TestRunValidation:
         ("T", 3), ("T", 0), ("replications", 0), ("mc_samples", 0),
         ("thin", 0), ("thin", -1), ("thin", 2.5), ("seed", -1),
         ("seed", 2.5), ("policies", ("greedy",)), ("policies", ("wts", "wts")),
-        ("policies", ()), ("out", "")])
+        ("policies", ()), ("out", ""), ("replications", True),
+        ("mc_samples", True)])
     def test_run_fields_checked_at_boundary(self, tmp_path, field, value):
         with pytest.raises(ValidationError, match=field):
             run(sim_config(tmp_path, **{field: value}), quiet=True)
