@@ -5,7 +5,8 @@ through :class:`BlockReader`, it must give, for any block size, the rounds
 that one single-round fill per round gives, and leave the generator where
 those fills leave it.  What a single-round fill draws is tied to numpy's
 own per-round draws by ``tests/test_engine.py``: ``_check_kernel`` for the
-WTS words, the per-round reference loop for every other fill.
+WTS words, the per-round reference loop of ``engine_reference`` for every
+other fill.
 """
 
 import numpy as np
@@ -14,11 +15,11 @@ import pytest
 from spreadbandits import KINDS, run_replication
 from spreadbandits import rng as rng_streams
 from spreadbandits.policies import _env_fill, _policy_fill
-from test_engine import (
-    _generator,
+from engine_reference import (
     assert_matches_reference,
     assert_same_state,
     gain_config,
+    make_generator,
     reference_replication,
     simulate_config,
 )
@@ -36,7 +37,7 @@ def check_fill(monkeypatch, make_fill, block, case="PCG64"):
     generator, which ends in the same state."""
     for K in ARMS:
         fill, nbytes = make_fill(K)
-        rng, ref = _generator(case, K), _generator(case, K)
+        rng, ref = make_generator(case, K), make_generator(case, K)
         monkeypatch.setattr(rng_streams, "BLOCK_BYTES", block * nbytes)
         reader = rng_streams.BlockReader(rng, fill, nbytes)
         for i in range(3 * block):

@@ -1,14 +1,10 @@
-"""The array round engine, and its block-read streams, against the scalar
-loop they replaced.
+"""The array round engine against the scalar loop it replaced.
 
-``reference_replication`` is the runner's per-round loop before the
-policies kept their statistics in arrays: per arm a :class:`ScalarArm`, the
-fold written out apart from the engine's, a validated :class:`PowerProfile`
-and :class:`Outcome` every round, and :func:`regret_step`.  The engine must
-reproduce its recorded columns, power snapshots and final regret exactly,
-for every policy kind, in both run modes, at any stream block size.  Read
-back a round at a time, each block fill must also equal one single-round
-fill per round and leave the generator where those leave it.
+The engine must reproduce ``engine_reference.reference_replication``'s
+recorded columns, power snapshots and final regret exactly, for every
+policy kind, in both run modes; its folds must equal the scalar fold bit
+for bit, and the WTS kernel the reference kernel draw for draw.  The
+block-read streams are checked in ``tests/test_blocks.py``.
 """
 
 import numpy as np
@@ -16,178 +12,28 @@ import pytest
 
 from spreadbandits import (
     KINDS,
-    Outcome,
     PowerProfile,
-    RunConfig,
     make_policy,
     new_instance,
     observe,
-    regret_step,
     run_replication,
     sample_outcome,
 )
-from spreadbandits import rng as rng_streams
 from spreadbandits.core import batch_stats
-from spreadbandits.policies import (
-    KIND_IDS,
-    RHO_FLOOR,
-    TS_KNOWN_WARMUP_PASSES,
-    TS_UNKNOWN_WARMUP_PASSES,
-    WTS_WARMUP_ROUNDS,
-    PolicyState,
-    _env_fill,
-    _fold_arm,
-    _fold_powers,
-    _policy_fill,
-)
-from spreadbandits.config import build_instance
+from spreadbandits.policies import PolicyState, _fold_arm, _fold_powers
 from spreadbandits.posterior import _rho_counts, _uniform_bits
+from engine_reference import (
+    ScalarArm,
+    assert_matches_reference,
+    assert_same_state,
+    gain_config,
+    make_generator,
+    reference_replication,
+    reference_rho_counts,
+    simulate_config,
+)
 
 SEEDS = (0, 1, 2)
-
-
-class ScalarArm:
-    """One arm's ``(z, xbar, S)``, folded in Python floats by the weighted
-    single-pass recurrence; a round at zero power folds nothing."""
-
-    def __init__(self):
-        self.z = self.mx = self.my = self.S = 0.0
-
-    def update(self, p, x):
-        if p > 0.0:
-            x0, x1 = float(x[0]), float(x[1])
-            z1 = self.z + p
-            dx, dy = x0 - self.mx, x1 - self.my
-            f = p / z1
-            self.mx += f * dx
-            self.my += f * dy
-            self.S += p * (dx * (x0 - self.mx) + dy * (x1 - self.my))
-            self.z = z1
-
-
-def reference_rho_counts(z, S, t, xbar, M, rng):
-    """The float32 kernel as first written: two draws, no rescaling."""
-    K = xbar.shape[0]
-    scale = np.asarray(S / z, dtype=np.float32).reshape(-1, 1)
-    expo = np.asarray(-1.0 / (np.asarray(t, dtype=np.float64) - 3.0),
-                      dtype=np.float32).reshape(-1, 1)
-    b2 = (xbar * xbar).sum(axis=1).astype(np.float32)[:, None]
-    b = np.sqrt(b2)
-    u = np.float32(1.0) - rng.random((K, M), dtype=np.float32)
-    v = rng.random((K, M), dtype=np.float32)
-    d2 = scale * np.expm1(expo * np.log(u))
-    d = np.sqrt(d2)
-    c = np.cos(np.float32(2.0 * np.pi) * v)
-    n2 = (2.0 * b) * d * c
-    n2 += b2
-    n2 += d2
-    return np.bincount(np.argmax(n2, axis=0), minlength=K)
-
-
-def reference_profile(kind, per_arm, t, instance, M, rng):
-    """The profile each policy played, from a list of :class:`ScalarArm`."""
-    K = len(per_arm)
-    z = np.array([st.z for st in per_arm])
-    S = np.array([st.S for st in per_arm])
-    xbar = np.array([(st.mx, st.my) for st in per_arm])
-    if kind == "uniform" or (kind == "wts" and t <= WTS_WARMUP_ROUNDS):
-        return PowerProfile.uniform(K)
-    if kind == "oracle":
-        return PowerProfile.one_hot(K, instance.k_star)
-    if kind == "wts":
-        counts = reference_rho_counts(z, S, float(t), xbar, M, rng)
-        q = np.maximum(counts / M, RHO_FLOOR / K)
-        return PowerProfile(q / q.sum())
-    passes = (TS_KNOWN_WARMUP_PASSES if kind == "ts_known"
-              else TS_UNKNOWN_WARMUP_PASSES)
-    if t <= passes * K:
-        return PowerProfile.one_hot(K, (t - 1) % K)
-    n_obs = np.array([round(st.z) for st in per_arm], dtype=np.int64)
-    if kind == "ts_known":
-        scale = np.sqrt(instance.variances / (2.0 * n_obs))
-        draws = xbar + scale[:, None] * rng.normal(size=(K, 2))
-        norms2 = (draws * draws).sum(axis=1)
-    else:
-        u = 1.0 - rng.random(K)
-        v = rng.random(K)
-        d2 = (S / n_obs) * np.expm1(-np.log(u) / (n_obs - 2.0))
-        b2 = (xbar * xbar).sum(axis=1)
-        norms2 = b2 + 2.0 * np.sqrt(b2 * d2) * np.cos((2.0 * np.pi) * v)
-        norms2 += d2
-    return PowerProfile.one_hot(K, int(np.argmax(norms2)))
-
-
-def reference_outcome(instance, profile, rng):
-    p = profile.p
-    active = np.flatnonzero(p > 0.0)
-    noise = rng.normal(size=(active.shape[0], 2))
-    scale = np.sqrt(instance.variances[active] / (2.0 * p[active]))
-    obs = instance.means[active] + scale[:, None] * noise
-    values = [None] * instance.n_arms
-    for i, k in enumerate(active):
-        values[k] = obs[i]
-    return Outcome(values)
-
-
-def reference_replication(cfg, kind, replication):
-    instance = build_instance(cfg)
-    rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
-                                 rng_streams.ENV)
-    rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
-                                 rng_streams.POLICY)
-    per_arm = [ScalarArm() for _ in range(instance.n_arms)]
-    T = cfg.T
-    snap_at = {max(1, T // 10), T}
-    rows, snaps, cum = [], {}, 0.0
-    for t in range(1, T + 1):
-        profile = reference_profile(kind, per_arm, t, instance,
-                                    cfg.mc_samples, rng_pol)
-        step = regret_step(instance, profile)
-        cum += step
-        outcome = reference_outcome(instance, profile, rng_env)
-        for k, st in enumerate(per_arm):
-            st.update(float(profile.p[k]), outcome.values[k])
-        if t % cfg.thin == 0 or t == T:
-            row = (t, step, cum)
-            if cfg.mode == "gain":
-                z = np.array([st.z for st in per_arm])
-                best = per_arm[int(np.argmax(z))]
-                row += (float(np.hypot(best.mx, best.my)),
-                        int(np.argmax(z)))
-            rows.append(row)
-        if t in snap_at:
-            snaps[t] = np.array([st.z for st in per_arm])
-    return rows, snaps, cum
-
-
-def simulate_config(seed):
-    return RunConfig(
-        mode="simulate", T=150, replications=1, seed=seed, policies=KINDS,
-        mc_samples=64, thin=3,
-        means=np.array([[2.0, 0.0], [0.9, 1.2], [-1.2, 0.0], [0.6, -0.8],
-                        [0.0, 0.8]]),
-        variances=np.array([0.25, 0.25, 0.49, 0.64, 1.0]))
-
-
-def gain_config(seed):
-    return RunConfig(
-        mode="gain", T=100, replications=1, seed=seed, policies=KINDS,
-        mc_samples=64, thin=1, g_coeffs=np.array([0.30, 0.48, 0.30, 0.12]),
-        h_coeffs=np.array([0.5]), K=6)
-
-
-def assert_matches_reference(out, cfg, rows, snaps, cum):
-    """``out`` of :func:`run_replication` equals what
-    :func:`reference_replication` returned for the same task."""
-    names = ("t", "regret_step", "regret_cum", "beta_hat", "k_hat")
-    for name, want in zip(names, zip(*rows)):
-        assert getattr(out, name).tolist() == list(want), name
-    if cfg.mode == "simulate":
-        assert out.beta_hat is None and out.k_hat is None
-    assert out.final_cum == cum
-    assert set(out.z_snapshots) == set(snaps)
-    for t, z in snaps.items():
-        np.testing.assert_array_equal(out.z_snapshots[t], z)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -207,30 +53,14 @@ def test_kernel_matches_reference_draw_for_draw(K, M):
     _check_kernel(K, M, range(50), 1000, np.random.default_rng)
 
 
-def _generator(case, seed):
-    if case == "PCG64_half_word":
-        # an odd float32 draw leaves half of a 64-bit word buffered
-        gen = np.random.default_rng(seed)
-        gen.random(1, dtype=np.float32)
-        return gen
-    return np.random.Generator(getattr(np.random, case)(seed))
-
-
-def assert_same_state(rng, ref):
-    # the float32 draw also reads a buffered half-word, float64 does not
-    np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
-                                  ref.random(3, dtype=np.float32))
-    np.testing.assert_array_equal(rng.random(9), ref.random(9))
-
-
 @pytest.mark.parametrize("case", ["MT19937", "Philox", "SFC64",
                                   "PCG64_half_word"])
 @pytest.mark.parametrize("K,M", [(5, 512), (3, 7)])
 def test_kernel_keeps_float32_stream_on_any_generator(case, K, M):
     # the kernel's uniforms are rng.random(dtype=float32) on every bit
     # generator, and it leaves the generator where that draw leaves it
-    _check_kernel(K, M, range(10), 2000, lambda seed: _generator(case, seed),
-                  per_arm_t=True)
+    _check_kernel(K, M, range(10), 2000,
+                  lambda seed: make_generator(case, seed), per_arm_t=True)
 
 
 def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
@@ -318,87 +148,3 @@ def test_observe_matches_scalar_reference(p):
         for k, a in enumerate(ref):
             a.update(prof.p[k], out.values[k])
     _assert_same_bits(st, ref)
-
-
-# ---------------------------------------------------------------------------
-# block-read streams
-
-BLOCKS = (1, 2, 3, 7, 64)
-# 16 and 17 arms put the float64 log and cos of ts_unknown's fill past a
-# SIMD width and into its tail
-ARMS = (2, 5, 16, 17)
-GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64", "PCG64_half_word")
-
-
-def check_fill(monkeypatch, make_fill, block, case="PCG64"):
-    """For every K in ARMS, ``3 * block`` rounds of ``make_fill(K)`` read in
-    blocks of ``block`` rounds equal single-round fills of a twin
-    generator, which ends in the same state."""
-    for K in ARMS:
-        fill, nbytes = make_fill(K)
-        rng, ref = _generator(case, K), _generator(case, K)
-        monkeypatch.setattr(rng_streams, "BLOCK_BYTES", block * nbytes)
-        reader = rng_streams.BlockReader(rng, fill, nbytes)
-        for i in range(3 * block):
-            np.testing.assert_array_equal(reader.next(), fill(ref, 1)[0],
-                                          err_msg=f"K={K} round {i}")
-        assert_same_state(rng, ref)
-
-
-@pytest.mark.parametrize("case", GENERATORS)
-@pytest.mark.parametrize("block", BLOCKS)
-def test_wts_words_match_float32_uniforms(monkeypatch, case, block):
-    for M in (1, 63, 512):
-        check_fill(monkeypatch, lambda K: _policy_fill("wts", K, M), block,
-                   case)
-
-
-@pytest.mark.parametrize("block", BLOCKS)
-def test_ts_known_normals(monkeypatch, block):
-    check_fill(monkeypatch, lambda K: _policy_fill("ts_known", K, None),
-               block)
-
-
-@pytest.mark.parametrize("block", BLOCKS)
-def test_ts_unknown_radial_halves(monkeypatch, block):
-    check_fill(monkeypatch, lambda K: _policy_fill("ts_unknown", K, None),
-               block)
-
-
-@pytest.mark.parametrize("kind", ["uniform", "oracle"])
-@pytest.mark.parametrize("block", BLOCKS)
-def test_env_noise(monkeypatch, kind, block):
-    # dense kinds draw a (K, 2) normal per round, one-hot kinds a (1, 2)
-    check_fill(monkeypatch, lambda K: _env_fill(kind, K), block)
-
-
-def test_block_size_follows_the_byte_budget(monkeypatch):
-    def fill(rng, rounds):
-        calls.append(rounds)
-        return rng.random((rounds, 4))
-
-    for budget, per_block in ((1, 1), (32, 1), (95, 2), (96, 3)):
-        calls = []
-        monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
-        reader = rng_streams.BlockReader(np.random.default_rng(0), fill, 32)
-        for _ in range(7):
-            reader.next()
-        assert calls == [per_block] * -(-7 // per_block)
-
-
-@pytest.mark.parametrize("mode", ["simulate", "gain"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_trace_does_not_depend_on_block_size(monkeypatch, kind, mode):
-    # budgets that give one round per block, three rounds of the outcome
-    # stream, three rounds of the policy stream, and the default: each run
-    # equals the per-round reference loop
-    cfg = (simulate_config if mode == "simulate" else gain_config)(4)
-    K = cfg.K if mode == "gain" else cfg.means.shape[0]
-    budgets = [1, 3 * _env_fill(kind, K)[1], rng_streams.BLOCK_BYTES]
-    pol = _policy_fill(kind, K, cfg.mc_samples)
-    if pol is not None:
-        budgets.append(3 * pol[1])
-    want = reference_replication(cfg, kind, 2)
-    for budget in budgets:
-        monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
-        assert_matches_reference(run_replication(cfg, kind, 2), cfg, *want)
