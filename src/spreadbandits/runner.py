@@ -150,7 +150,7 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
                 steps.append(step)
                 cums.append(cum)
                 if gain_mode:
-                    est = gain_estimate(state.z, state.mean, t)
+                    est = gain_estimate(state.z, state.mean)
                     betas.append(est.beta_hat)
                     k_hats.append(est.k_hat)
         except BanditError as exc:

@@ -69,11 +69,10 @@ class GainProblem:
 
 @dataclass(frozen=True)
 class GainEstimate:
-    """Peak-gain readout after ``t`` rounds."""
+    """Peak-gain readout: the estimate and the bin it was read at."""
 
     beta_hat: float
     k_hat: int
-    t: int
 
 
 def freq_response(coeffs, omegas) -> np.ndarray:
@@ -112,7 +111,7 @@ def synth_multisine(profile: PowerProfile, grid: FrequencyGrid) -> np.ndarray:
     return np.sin(np.outer(taus, grid.omegas)) @ np.sqrt(profile.p)
 
 
-def gain_estimate(z, xbar, t: int) -> GainEstimate:
+def gain_estimate(z, xbar) -> GainEstimate:
     """Read the peak-gain estimate off per-arm statistics.
 
     ``z`` is the (K,) cumulative power and ``xbar`` the (K, 2) weighted
@@ -125,4 +124,4 @@ def gain_estimate(z, xbar, t: int) -> GainEstimate:
         raise InsufficientData("no bin has received any power yet")
     k_hat = int(np.argmax(z))
     beta = float(np.hypot(xbar[k_hat, 0], xbar[k_hat, 1]))
-    return GainEstimate(beta_hat=beta, k_hat=k_hat, t=int(t))
+    return GainEstimate(beta_hat=beta, k_hat=k_hat)

@@ -61,11 +61,11 @@ def run_checks(seed, *checks, budget):
     pass, and together within ``budget`` seconds."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    results = [check(rng) for check in checks]
+    results = [(check.__name__, *check(rng)) for check in checks]
     elapsed = time.perf_counter() - t0
-    for r in results:
-        print(f"{r.name}: {r.observed} ({r.requirement})")
-        assert r.passed, f"{r.name}: {r.observed}, needs {r.requirement}"
+    for name, passed, observed, requirement in results:
+        print(f"{name}: {observed} ({requirement})")
+        assert passed, f"{name}: {observed}, needs {requirement}"
     print(f"{elapsed:.2f}s")
     assert elapsed < budget
 

@@ -1,4 +1,7 @@
-"""Policy behaviour: warm-ups, belief profiles, baselines, dispatch, observe."""
+"""Policy behaviour: warm-ups, belief profiles, baselines, dispatch, observe,
+and the README's quickstart loop over the per-call API."""
+
+import pathlib
 
 import numpy as np
 import pytest
@@ -168,3 +171,14 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             profs.append(play_rounds(st, inst, rng, 20).p)
         np.testing.assert_array_equal(profs[0], profs[1])
+
+
+def test_readme_quickstart_runs():
+    # the README's "Library quickstart" Python blocks, in one namespace
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart")[1].split("\n## ")[0]
+    ns = {}
+    for block in section.split("```python\n")[1:]:
+        exec(block.split("```")[0], ns)
+    assert ns["state"].z.sum() == pytest.approx(1000.0)
+    assert np.all(ns["state"].z > 0.0)

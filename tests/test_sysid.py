@@ -118,30 +118,6 @@ class TestMultisine:
         np.testing.assert_allclose(u, np.sin(2.0 * np.pi * taus / 5.0),
                                    atol=1e-15)
 
-    def test_one_hot_bin_magnitude(self):
-        # the excited bin carries (N/2) sqrt(p) = 5/2
-        grid = FrequencyGrid(2)
-        u = synth_multisine(PowerProfile.one_hot(2, 0), grid)
-        X = np.fft.fft(u)
-        assert abs(X[1]) == pytest.approx(2.5, abs=1e-9)
-        assert abs(X[2]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_general_profile_bin_magnitudes(self):
-        grid = FrequencyGrid(4)
-        prof = PowerProfile(np.array([0.4, 0.1, 0.25, 0.25]))
-        X = np.fft.fft(synth_multisine(prof, grid))
-        got = np.abs(X[1:grid.K + 1])
-        want = (grid.N / 2.0) * np.sqrt(prof.p)
-        np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_parseval(self):
-        grid = FrequencyGrid(5)
-        prof = PowerProfile(np.array([0.3, 0.05, 0.15, 0.2, 0.3]))
-        u = synth_multisine(prof, grid)
-        X = np.fft.fft(u)
-        assert np.sum(np.abs(X) ** 2) == pytest.approx(
-            grid.N * np.sum(u * u), rel=1e-12)
-
     def test_profile_grid_mismatch(self):
         with pytest.raises(DimensionMismatch):
             synth_multisine(PowerProfile.uniform(3), FrequencyGrid(2))
@@ -151,21 +127,20 @@ class TestGainEstimate:
     def test_norm_of_heaviest_bin(self):
         z = np.array([1.0, 3.0])
         xbar = np.array([[0.0, 0.1], [3.0, 4.0]])
-        est = gain_estimate(z, xbar, 17)
+        est = gain_estimate(z, xbar)
         assert est.k_hat == 1
         assert est.beta_hat == pytest.approx(5.0)
-        assert est.t == 17
 
     def test_lowest_index_wins_ties(self):
         xbar = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assert gain_estimate(np.array([2.0, 2.0]), xbar, 4).k_hat == 0
+        assert gain_estimate(np.array([2.0, 2.0]), xbar).k_hat == 0
 
     def test_no_data(self):
         with pytest.raises(InsufficientData, match="no bin has received"):
-            gain_estimate(np.zeros(2), np.zeros((2, 2)), 1)
+            gain_estimate(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(InsufficientData, match="no bin has received"):
-            gain_estimate(np.zeros(0), np.zeros((0, 2)), 0)
+            gain_estimate(np.zeros(0), np.zeros((0, 2)))
 
     def test_estimate_fields(self):
-        est = GainEstimate(beta_hat=1.5, k_hat=2, t=9)
-        assert (est.beta_hat, est.k_hat, est.t) == (1.5, 2, 9)
+        est = GainEstimate(beta_hat=1.5, k_hat=2)
+        assert (est.beta_hat, est.k_hat) == (1.5, 2)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from spreadbandits import policies, runner, verify
 from spreadbandits import rng as rng_streams
-from spreadbandits import verify
 from spreadbandits.cli import main
 from spreadbandits.errors import InsufficientData, TiedOptimum
 from spreadbandits.verify import (
@@ -41,11 +41,11 @@ def test_check_count_and_fields(results):
 def test_suite_detects_corrupted_variance_law(monkeypatch):
     # sanity check of the harness itself: doubling the simulated variance
     # must break exactly the scatter distribution law
-    assert check_chi2_law(np.random.default_rng(0)).passed
+    assert check_chi2_law(np.random.default_rng(0))[0]
     real = verify._draw
     monkeypatch.setattr(verify, "_draw", lambda means, variances, p, noise:
                         real(means, 2.0 * variances, p, noise))
-    assert not check_chi2_law(np.random.default_rng(0)).passed
+    assert not check_chi2_law(np.random.default_rng(0))[0]
 
 
 @pytest.mark.parametrize("seed", [8, 10, 11, 12])
@@ -54,7 +54,7 @@ def test_rotation_invariance_at_rounding_level(seed):
     # while sitting at a few eps relative to the instance's conditioning;
     # the stream is the one run_verification(seed) hands this check
     rng = rng_streams.stream(seed, 1006)
-    assert check_rotation_invariance(rng).passed
+    assert check_rotation_invariance(rng)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 8])
@@ -73,7 +73,7 @@ def test_rotation_invariance_detects_perturbed_mean(seed, monkeypatch):
 
     monkeypatch.setattr(verify, "new_instance", perturbed)
     rng = rng_streams.stream(seed, 1006)
-    assert not check_rotation_invariance(rng).passed
+    assert not check_rotation_invariance(rng)[0]
 
 
 @pytest.mark.parametrize("check", [check_rotation_invariance,
@@ -89,25 +89,52 @@ def test_fails_when_random_instances_are_skipped(check, monkeypatch):
         return real(means, variances)
 
     monkeypatch.setattr(verify, "new_instance", tied)
-    result = check(np.random.default_rng(0))
-    assert not result.passed
-    assert "0/" in result.observed
+    passed, observed, _ = check(np.random.default_rng(0))
+    assert not passed
+    assert "0/" in observed
 
 
 def test_raising_check_reported_as_failed(monkeypatch):
     # stubs stand in for the 22 checks; the one that raises becomes a
-    # failed result naming the exception, and the others still run
-    def check_power_divergence():
+    # failed result under its check name, and the others still run
+    def stub(*rng):
+        return True, "ok", "ok"
+
+    def diverge():
         raise InsufficientData("S=nan")
 
-    names = [n for n in dir(verify) if n.startswith("check_")]
-    for n in names:
-        monkeypatch.setattr(verify, n, lambda *rng: CheckResult(
-            "stub", True, "ok", "ok"))
-    monkeypatch.setattr(verify, "check_power_divergence",
-                        check_power_divergence)
+    monkeypatch.setattr(verify, "_CHECKS", [
+        (name, diverge if name == "wts-power-divergence" else stub, *key)
+        for name, _, *key in verify._CHECKS])
     results = run_verification(seed=0)
-    assert len(names) == len(results) == 22
+    assert len(results) == 22
     assert [(r.name, r.observed) for r in results if not r.passed] == [
-        ("check_power_divergence", "raised InsufficientData: S=nan")]
+        ("wts-power-divergence", "raised InsufficientData: S=nan")]
     assert main(["verify"]) == 1
+
+
+def failing_among(monkeypatch, *names):
+    """The checks among ``names`` that fail at seed 0, by name."""
+    monkeypatch.setattr(verify, "_CHECKS",
+                        [c for c in verify._CHECKS if c[0] in names])
+    return tuple(r.name for r in run_verification(0) if not r.passed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wts_checks_detect_missing_floor(monkeypatch):
+    # with no floor WTS plays zero power on an arm, which the round
+    # engine's dense draw cannot fold
+    monkeypatch.setattr(policies, "RHO_FLOOR", 0.0)
+    names = ("wts-warmup-and-floor", "policy-determinism",
+             "wts-belief-concentration")
+    assert failing_among(monkeypatch, *names) == names
+
+
+def test_one_hot_check_detects_spread_baselines(monkeypatch):
+    # the round loop plays the uniform vector for both TS baselines
+    real = runner._choose
+    monkeypatch.setattr(runner, "_choose", lambda state, noise: (
+        np.full(2, 0.5) if state.kind in ("ts_known", "ts_unknown")
+        else real(state, noise)))
+    assert failing_among(monkeypatch, "one-hot-baselines") == (
+        "one-hot-baselines",)
