@@ -38,7 +38,7 @@ print(f"arm mean {instance.means[0]}, sigma^2 = {SIGMA2}, "
 exceed = 0
 scatters = np.empty(REPS)
 for r in range(REPS):
-    xs = [sample_outcome(instance, profile, rng).values[0]
+    xs = [sample_outcome(instance, profile, rng)[0]
           for _ in range(ROUNDS)]
     _, xbar, scatters[r] = batch_stats(np.ones(ROUNDS), xs)
     if np.hypot(*(xbar - instance.means[0])) >= EPS:

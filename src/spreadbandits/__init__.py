@@ -11,7 +11,6 @@ simulation runner and CLI.
 
 from .core import (
     BanditInstance,
-    Outcome,
     PowerProfile,
     batch_stats,
     new_instance,
@@ -64,7 +63,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BanditInstance", "Outcome", "PowerProfile",
+    "BanditInstance", "PowerProfile",
     "batch_stats", "new_instance", "sample_outcome",
     "PosteriorParams", "estimate_rho",
     "posterior_density", "posterior_radial_tail", "sample_posterior",

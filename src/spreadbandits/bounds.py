@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
-from .core import BanditInstance, PowerProfile
+from .core import BanditInstance, PowerProfile, _count
 
 def h(x: float) -> float:
     """Cramer rate ``x - log(1 + x)`` of the scatter tail, for x > 0."""
@@ -48,8 +48,8 @@ def mean_exceedance(z: float, sigma2: float, eps: float) -> float:
 
 def variance_tail_bound(t: int, sigma2: float, eps: float) -> float:
     """Upper bound exp(-t h(eps/sigma^2)) on P(S(t) >= t (sigma^2 + eps))."""
-    t = int(t)
-    if t < 1 or sigma2 <= 0.0 or eps <= 0.0:
+    t = _count(t, "t")
+    if sigma2 <= 0.0 or eps <= 0.0:
         raise InvalidParams(
             f"t, sigma2, eps must be > 0, got ({t}, {sigma2}, {eps})")
     return math.exp(-t * h(eps / sigma2))
@@ -62,7 +62,7 @@ def chi2_cdf_even(dof: int, x):
     Accepts scalar or array ``x``; the running-product evaluation keeps all
     intermediate terms scaled by exp(-x/2).
     """
-    dof = int(dof)
+    dof = _count(dof, "dof", 0)
     if dof < 2 or dof % 2 != 0:
         raise InvalidParams(f"need a positive even dof, got {dof}")
     xa = np.asarray(x, dtype=np.float64)

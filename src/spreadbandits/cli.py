@@ -88,10 +88,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_run(args)
-    except BanditError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (BanditError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -35,10 +35,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import new_instance
+from .core import _count, new_instance
 from .errors import BanditError, InvalidParams, ParseError, ValidationError
 from .policies import KINDS
-from .posterior import _count
 from .sysid import grid_from_fir
 
 MODES = ("simulate", "gain", "verify")

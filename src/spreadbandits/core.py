@@ -8,6 +8,9 @@ power over the arms; an arm allocated power ``p_k > 0`` returns
 
 i.e. measurement quality scales with committed power, and an arm with
 ``p_k = 0`` returns nothing.  The best arm is the one of largest mean norm.
+A round's observations are one (K, 2) float array, row k for arm k
+(:func:`sample_outcome`); the row of an arm with zero power is NaN, and
+every fold reads the rows of powered arms only.
 
 Per-arm evidence is summarised by power-weighted statistics
 
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InsufficientData,
+    InvalidParams,
     InvalidProfile,
     NonPositiveVariance,
     TiedOptimum,
@@ -42,6 +46,21 @@ NORM_TIE_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
 
 DIM = 2
+
+
+def _count(value, name: str, low: int = 1, error=InvalidParams) -> int:
+    """``value`` as an int, the one count rule of the public API: a float
+    counts when integral (nothing is truncated), a string or a bool never.
+    A non-integer raises InvalidParams, an integer below ``low`` ``error``."""
+    try:
+        whole = (not isinstance(value, (bool, np.bool_))
+                 and value == int(value))
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and value >= low):
+        raise (error if whole else InvalidParams)(
+            f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +126,7 @@ class BanditInstance:
 
 def new_instance(means, variances) -> BanditInstance:
     """Validate raw mean/variance arrays and build a :class:`BanditInstance`."""
-    return BanditInstance(np.asarray(means, dtype=np.float64),
-                          np.asarray(variances, dtype=np.float64))
+    return BanditInstance(means, variances)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +167,6 @@ class PowerProfile:
         return cls(p)
 
 
-@dataclass
-class Outcome:
-    """Observations of one round: ``values[k]`` is a 2-vector, or None when
-    the generating profile put no power on arm k."""
-
-    values: list
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _normals(rng: np.random.Generator, rows: int,
              rounds: int) -> np.ndarray:
     """``rounds`` rounds of ``rng.normal(size=(rows, 2))``, shape
@@ -188,24 +195,24 @@ def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
 
 
 def sample_outcome(instance: BanditInstance, profile: PowerProfile,
-                   rng: np.random.Generator) -> Outcome:
-    """Draw one round of observations under ``profile``.
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw one round of observations under ``profile``, shape (K, 2).
 
-    Arm k with power ``p_k > 0`` yields ``mu_k + sqrt(sigma_k^2/(2 p_k)) * g``
-    with ``g`` standard 2-d normal; arms with zero power yield ``None``.
+    Row k of an arm with power ``p_k > 0`` is
+    ``mu_k + sqrt(sigma_k^2/(2 p_k)) * g`` with ``g`` standard 2-d normal;
+    the row of an arm with zero power is NaN.  Takes one round of
+    :func:`_normals` for the powered arms alone from ``rng``.
     """
     p = profile.p
     K = instance.n_arms
     if p.shape[0] != K:
         raise DimensionMismatch(
             f"profile has {p.shape[0]} entries for {K} arms")
-    active = np.flatnonzero(p > 0.0)
-    obs = _draw(instance.means[active], instance.variances[active], p[active],
-                _normals(rng, active.shape[0], 1)[0])
-    values = [None] * K
-    for i, k in enumerate(active):
-        values[k] = obs[i]
-    return Outcome(values)
+    active = p > 0.0
+    x = np.full((K, DIM), np.nan)
+    x[active] = _draw(instance.means[active], instance.variances[active],
+                      p[active], _normals(rng, int(active.sum()), 1)[0])
+    return x
 
 
 def batch_stats(powers, xs) -> tuple:

@@ -35,7 +35,7 @@ class InvalidProfile(BanditError):
 
 
 class MissingObservation(BanditError):
-    """An arm received positive power but no observed value."""
+    """An arm received positive power but no finite observed value."""
 
 
 class InsufficientData(BanditError):

@@ -21,8 +21,10 @@ A round of the engine is :func:`_choose` (a power vector for ``wts`` and
 ``uniform``, an arm index for the one-hot kinds) followed by
 :func:`_fold_powers` or :func:`_fold_arm`; the simulation runner drives
 these directly.  The public :func:`policy_step` / :func:`observe` pair wraps
-the same functions in validated :class:`PowerProfile` / :class:`Outcome`
-values.  A state is owned by exactly one simulation run.
+the same functions: the play as a validated :class:`PowerProfile`, and the
+observations as the (K, 2) array of
+:func:`spreadbandits.core.sample_outcome`, checked once on the way in.  A
+state is owned by exactly one simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
@@ -38,19 +40,20 @@ what one round takes.
 import numpy as np
 
 from .core import (
+    DIM,
     BanditInstance,
-    Outcome,
     PowerProfile,
+    _count,
     _normals,
 )
 from .errors import (
     DimensionMismatch,
     InsufficientData,
     MissingObservation,
+    TooFewArms,
     ValidationError,
 )
 from .posterior import (
-    _count,
     _radial_t_d2,
     _radial_t_fill,
     _rho_counts,
@@ -82,24 +85,32 @@ class PolicyState:
 
     ``z`` and ``S`` (shape (K,)) and ``mean`` (shape (K, 2)) are the
     power-weighted statistics ``(z, xbar, S)`` of :mod:`spreadbandits.core`,
-    one entry per arm.  ``round`` is the 1-based index of the round about to be
-    played.  ``mc_samples`` is set for ``wts``, ``sigma2`` for ``ts_known``
-    and ``k_star`` for ``oracle``; each is None otherwise.
+    one entry per arm.  ``round`` is the 1-based index of the round about to
+    be played.  ``mc_samples`` is given for ``wts``, ``sigma2`` for
+    ``ts_known`` and ``k_star`` for ``oracle``, and each is None otherwise:
+    a state missing its kind's fact, or holding another kind's, is refused.
     """
 
     __slots__ = ("kind", "round", "z", "S", "mean", "mc_samples", "sigma2",
                  "k_star", "_draws", "_fill")
 
-    def __init__(self, kind: str, n_arms: int, round: int = 1,
+    def __init__(self, kind: str, n_arms: int,
                  mc_samples: int | None = None, sigma2=None,
                  k_star: int | None = None):
         if kind not in KINDS:
             raise ValidationError(f"unknown policy kind {kind!r}")
-        K = int(n_arms)
-        if kind == WTS or mc_samples is not None:
+        K = _count(n_arms, "n_arms", 1, TooFewArms)
+        if kind == WTS:
             mc_samples = _count(mc_samples, "mc_samples")
+        for name, value, owner in (("mc_samples", mc_samples, WTS),
+                                   ("sigma2", sigma2, TS_KNOWN),
+                                   ("k_star", k_star, ORACLE)):
+            if (value is None) == (kind == owner):
+                raise ValidationError(
+                    f"{name} is {'required' if kind == owner else 'unused'}"
+                    f" by a {kind} policy")
         self.kind = kind
-        self.round = int(round)
+        self.round = 1
         self.z = np.zeros(K)
         self.S = np.zeros(K)
         self.mean = np.zeros((K, 2))
@@ -107,10 +118,10 @@ class PolicyState:
         self.sigma2 = sigma2
         self.k_star = k_star
         # the Monte Carlo kernel's uniforms, reused every round
-        self._draws = (None if self.mc_samples is None else
-                       np.empty((2, K, self.mc_samples), dtype=np.float32))
+        self._draws = (None if mc_samples is None else
+                       np.empty((2, K, mc_samples), dtype=np.float32))
         # what a round draws from the policy's stream
-        self._fill = _policy_fill(kind, K, self.mc_samples)
+        self._fill = _policy_fill(kind, K, mc_samples)
 
     @property
     def n_arms(self) -> int:
@@ -298,26 +309,28 @@ def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     return PowerProfile.one_hot(state.n_arms, play)
 
 
-def observe(state: PolicyState, profile: PowerProfile,
-            outcome: Outcome) -> PolicyState:
-    """Fold one round of outcomes into ``state`` (mutates and returns it)."""
+def observe(state: PolicyState, profile: PowerProfile, x) -> PolicyState:
+    """Fold one round of observations into ``state`` (mutates and returns it).
+
+    ``x`` is the round's (K, 2) observation array, as
+    :func:`spreadbandits.core.sample_outcome` returns it: row k is read
+    when ``p_k > 0``, and must then be finite, and is ignored otherwise.
+    """
     K = state.n_arms
-    if len(profile) != K:
-        raise DimensionMismatch(
-            f"profile has {len(profile)} entries, state {K}")
-    if len(outcome) != K:
-        raise DimensionMismatch(
-            f"outcome has {len(outcome)} entries, state {K}")
     p = profile.p
-    values = outcome.values
-    active = np.flatnonzero(p > 0.0).tolist()
-    if any(values[k] is None for k in active):
-        raise MissingObservation("positive power requires an observed value")
-    if len(active) == K:
-        _fold_powers(state, p, np.array(values, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if p.shape[0] != K or x.shape != (K, DIM):
+        raise DimensionMismatch(
+            f"a state of {K} arms needs {K} powers and ({K}, {DIM}) "
+            f"observations, got {p.shape[0]} and {x.shape}")
+    active = p > 0.0
+    if not np.isfinite(x[active]).all():
+        raise MissingObservation(
+            "an arm with positive power needs a finite observation")
+    if active.all():
+        _fold_powers(state, p, x)
     else:
-        for k in active:
-            x = values[k]
-            _fold_arm(state, k, p.item(k), float(x[0]), float(x[1]))
+        for k in np.flatnonzero(active).tolist():
+            _fold_arm(state, k, p.item(k), x.item(k, 0), x.item(k, 1))
     state.round += 1
     return state

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _count
 from .errors import InvalidParams, TooFewArms
 
 # the Monte Carlo kernel's uniforms: u = m * 2^-24 for a 24-bit mantissa m,
@@ -68,37 +69,18 @@ class PosteriorParams:
     def __post_init__(self):
         z = float(self.z)
         S = float(self.S)
-        t = self.t
+        t = _count(self.t, "t", 4)
         xbar = np.asarray(self.xbar, dtype=np.float64)
         if not np.isfinite(z) or z <= 0.0:
             raise InvalidParams(f"z must be finite and > 0, got {z}")
         if not np.isfinite(S) or S <= 0.0:
             raise InvalidParams(f"S must be finite and > 0, got {S}")
-        if not (math.isfinite(t) and t == int(t)):
-            raise InvalidParams(f"t must be a finite integer, got t={t}")
-        t = int(t)
-        if t < 4:
-            raise InvalidParams(f"posterior needs t >= 4, got t={t}")
         if xbar.shape != (2,) or not np.all(np.isfinite(xbar)):
             raise InvalidParams("xbar must be a finite 2-vector")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "xbar", xbar)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "t", t)
-
-
-def _count(value, name: str, low: int = 1) -> int:
-    """``value`` as an int; it must be an integer >= ``low``.  A float
-    counts when integral (nothing is truncated), a string or a bool never."""
-    try:
-        ok = (not isinstance(value, (bool, np.bool_)) and value >= low
-              and value == int(value))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise InvalidParams(
-            f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def posterior_density(params: PosteriorParams, mu) -> np.ndarray:

@@ -31,7 +31,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -252,12 +252,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     elapsed = time.perf_counter() - t0
     sidecar = {
         "config": cfg.to_dict(),
-        "bound_constants": {
-            "spreading_known": consts.spreading_known,
-            "spreading_unknown": consts.spreading_unknown,
-            "ns_known": consts.ns_known,
-            "ns_unknown": consts.ns_unknown,
-        },
+        "bound_constants": asdict(consts),
         "horizon_summary": summary,
         "started_at": started.isoformat(),
         "elapsed_s": elapsed,

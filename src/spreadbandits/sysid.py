@@ -19,14 +19,15 @@ estimate reads off the arm with the most accumulated power:
 
 :func:`grid_from_fir` builds the induced bandit instance from FIR
 coefficient lists; measurements of a grid are observations of that
-instance (:func:`spreadbandits.core.sample_outcome`).
+instance (:func:`spreadbandits.core.sample_outcome`), whose row for a bin
+that got no power is NaN: an unexcited bin measures nothing.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BanditInstance, PowerProfile, new_instance
+from .core import BanditInstance, PowerProfile, _count, new_instance
 from .errors import DimensionMismatch, InsufficientData, TooFewArms
 
 
@@ -39,9 +40,7 @@ class FrequencyGrid:
     omegas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        K = int(self.K)
-        if K < 1:
-            raise TooFewArms(f"grid needs K >= 1, got {K}")
+        K = _count(self.K, "K", 1, TooFewArms)
         N = 2 * K + 1
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "N", N)
@@ -92,7 +91,7 @@ def grid_from_fir(g_coeffs, h_coeffs, K: int) -> GainProblem:
     are those of :func:`spreadbandits.core.new_instance`: fewer than two
     bins, a noise response that vanishes at a bin, or a top-two gain tie.
     """
-    grid = FrequencyGrid(int(K))
+    grid = FrequencyGrid(K)
     g_resp = freq_response(g_coeffs, grid.omegas)
     h_resp = freq_response(h_coeffs, grid.omegas)
     noise = np.abs(h_resp)

@@ -4,9 +4,9 @@ hold the engine to it.
 ``reference_replication`` is the runner's per-round loop before the
 policies kept their statistics in arrays: per arm a :class:`ScalarArm`, the
 fold written out apart from the engine's, a validated :class:`PowerProfile`
-and :class:`Outcome` every round, and :func:`regret_step`.  The engine must
-reproduce its recorded columns, power snapshots and final regret exactly
-(``tests/test_engine.py``), at any stream block size
+and (K, 2) observations every round, and :func:`regret_step`.  The engine
+must reproduce its recorded columns, power snapshots and final regret
+exactly (``tests/test_engine.py``), at any stream block size
 (``tests/test_blocks.py``).  This is a helper module, not a test module:
 the test suite puts ``tests/`` on ``sys.path`` (``pythonpath`` in
 ``pyproject.toml``), so both modules import it in every pytest import mode.
@@ -14,7 +14,7 @@ the test suite puts ``tests/`` on ``sys.path`` (``pythonpath`` in
 
 import numpy as np
 
-from spreadbandits import KINDS, Outcome, PowerProfile, RunConfig, regret_step
+from spreadbandits import KINDS, PowerProfile, RunConfig, regret_step
 from spreadbandits import rng as rng_streams
 from spreadbandits.config import build_instance
 from spreadbandits.policies import (
@@ -102,11 +102,9 @@ def reference_outcome(instance, profile, rng):
     active = np.flatnonzero(p > 0.0)
     noise = rng.normal(size=(active.shape[0], 2))
     scale = np.sqrt(instance.variances[active] / (2.0 * p[active]))
-    obs = instance.means[active] + scale[:, None] * noise
-    values = [None] * instance.n_arms
-    for i, k in enumerate(active):
-        values[k] = obs[i]
-    return Outcome(values)
+    x = np.full((instance.n_arms, 2), np.nan)
+    x[active] = instance.means[active] + scale[:, None] * noise
+    return x
 
 
 def reference_replication(cfg, kind, replication):
@@ -126,7 +124,7 @@ def reference_replication(cfg, kind, replication):
         cum += step
         outcome = reference_outcome(instance, profile, rng_env)
         for k, st in enumerate(per_arm):
-            st.update(float(profile.p[k]), outcome.values[k])
+            st.update(float(profile.p[k]), outcome[k])
         if t % cfg.thin == 0 or t == T:
             row = (t, step, cum)
             if cfg.mode == "gain":

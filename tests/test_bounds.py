@@ -7,12 +7,12 @@ import pytest
 import scipy.stats
 
 from spreadbandits import (
-    BanditInstance,
     PowerProfile,
     chi2_cdf_even,
     h,
     lower_bound_constants,
     mean_exceedance,
+    new_instance,
     power_lower_constants,
     regret_step,
     variance_tail_bound,
@@ -82,6 +82,9 @@ class TestVarianceTailBound:
     def test_eps_must_be_positive(self):
         with pytest.raises(InvalidParams, match="t, sigma2, eps must be"):
             variance_tail_bound(10, 1.0, 0.0)
+        for bad in (2.5, True):  # t is a count, never truncated
+            with pytest.raises(InvalidParams, match="t must be an integer"):
+                variance_tail_bound(bad, 1.0, 1.0)
 
 
 class TestChi2CdfEven:
@@ -110,45 +113,43 @@ class TestChi2CdfEven:
             chi2_cdf_even(3, 1.0)
         with pytest.raises(InvalidParams, match="positive even dof"):
             chi2_cdf_even(0, 1.0)
+        for bad in (4.9, True):
+            with pytest.raises(InvalidParams, match="dof must be an integer"):
+                chi2_cdf_even(bad, 1.0)
 
     def test_negative_x_rejected(self):
         with pytest.raises(InvalidParams, match="at x < 0"):
             chi2_cdf_even(2, -0.001)
 
 
-def instance(means, variances):
-    return BanditInstance(np.asarray(means, dtype=float),
-                          np.asarray(variances, dtype=float))
-
-
 class TestRegretStep:
     def test_oracle_profile_zero(self):
-        inst = instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        inst = new_instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
         prof = PowerProfile.one_hot(2, inst.k_star)
         assert regret_step(inst, prof) == 0.0
 
     def test_uniform_half_gap(self):
-        inst = instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        inst = new_instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
         assert regret_step(inst, PowerProfile.uniform(2)) \
             == pytest.approx(0.5)
 
     def test_bounded_by_max_gap(self):
         rng = np.random.default_rng(11)
-        inst = instance(rng.normal(size=(5, 2)), np.full(5, 0.3))
+        inst = new_instance(rng.normal(size=(5, 2)), np.full(5, 0.3))
         for _ in range(50):
             w = rng.dirichlet(np.ones(5))
             r = regret_step(inst, PowerProfile(w))
             assert 0.0 <= r <= inst.gaps.max() + 1e-12
 
     def test_scaling_means_scales_regret(self):
-        inst1 = instance([[2.0, 0.0], [0.5, 1.0]], [1.0, 1.0])
-        inst3 = instance([[6.0, 0.0], [1.5, 3.0]], [1.0, 1.0])
+        inst1 = new_instance([[2.0, 0.0], [0.5, 1.0]], [1.0, 1.0])
+        inst3 = new_instance([[6.0, 0.0], [1.5, 3.0]], [1.0, 1.0])
         prof = PowerProfile(np.array([0.3, 0.7]))
         assert regret_step(inst3, prof) == pytest.approx(
             3.0 * regret_step(inst1, prof), rel=1e-12)
 
     def test_profile_length_checked(self):
-        inst = instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        inst = new_instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             regret_step(inst, PowerProfile.uniform(3))
 
@@ -157,7 +158,7 @@ class TestLowerBoundConstants:
     def test_frozen_two_arm_case(self):
         # norms (2, 1), unit variances: gap 1, so the spreading constants
         # are 1 and the non-spreading unknown-variance constant is 1/log 2
-        inst = instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        inst = new_instance([[2.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
         c = lower_bound_constants(inst)
         assert abs(c.spreading_unknown - 1.0) <= 1e-12
         assert abs(c.ns_unknown - 1.0 / math.log(2.0)) <= 1e-12
@@ -166,14 +167,14 @@ class TestLowerBoundConstants:
     def test_variance_scaling(self):
         # scaling every sigma^2 by c scales the known-variance constant by c
         means = [[2.0, 0.0], [0.3, 0.4], [0.0, 1.0]]
-        base = lower_bound_constants(instance(means, [0.2, 0.5, 1.1]))
+        base = lower_bound_constants(new_instance(means, [0.2, 0.5, 1.1]))
         scaled = lower_bound_constants(
-            instance(means, [0.6, 1.5, 3.3]))
+            new_instance(means, [0.6, 1.5, 3.3]))
         assert scaled.spreading_known == pytest.approx(
             3.0 * base.spreading_known, rel=1e-12)
 
     def test_power_constants_nan_at_best(self):
-        inst = instance([[2.0, 0.0], [1.0, 0.0], [0.0, 0.5]],
+        inst = new_instance([[2.0, 0.0], [1.0, 0.0], [0.0, 0.5]],
                         [1.0, 0.25, 0.5])
         w = power_lower_constants(inst)
         assert math.isnan(w[inst.k_star])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spreadbandits import (
-    Outcome,
     PowerProfile,
     batch_stats,
     new_instance,
@@ -142,25 +141,23 @@ class TestBatchStats:
 class TestSampleOutcome:
     def test_zero_power_gives_no_observation(self):
         inst = new_instance([[1.0, 0.0], [2.0, 0.0]], [1.0, 1.0])
-        rng = np.random.default_rng(0)
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
         out = sample_outcome(inst, PowerProfile.one_hot(2, 1), rng)
-        assert out.values[0] is None
-        assert out.values[1] is not None
-        assert len(out) == 2
+        assert out.shape == (2, 2) and np.isnan(out[0]).all()
+        # one normal pair, for the powered arm, and no draw for arm 0
+        np.testing.assert_array_equal(
+            out[1], inst.means[1] + np.sqrt(0.5) * twin.normal(size=2))
+        assert rng.random() == twin.random()
 
     def test_deterministic_given_stream(self):
         inst = new_instance([[1.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
         prof = PowerProfile.uniform(2)
-        a = sample_outcome(inst, prof, np.random.default_rng(7)).values
-        b = sample_outcome(inst, prof, np.random.default_rng(7)).values
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = sample_outcome(inst, prof, np.random.default_rng(7))
+        b = sample_outcome(inst, prof, np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
 
     def test_profile_length_checked(self):
         inst = new_instance([[1.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             sample_outcome(inst, PowerProfile.uniform(3),
                            np.random.default_rng(0))
-
-
-def test_outcome_len():
-    assert len(Outcome([None, np.zeros(2)])) == 2

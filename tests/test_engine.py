@@ -144,7 +144,9 @@ def test_observe_matches_scalar_reference(p):
     rng = np.random.default_rng(9)
     for _ in range(6):
         out = sample_outcome(inst, prof, rng)
-        observe(st, prof, out)
+        # NaN rows exactly where p_k = 0; observe does not read them
+        assert np.isnan(out).all(axis=1).tolist() == (prof.p == 0).tolist()
+        observe(st, prof, np.where(np.isnan(out), np.inf, out))
         for k, a in enumerate(ref):
-            a.update(prof.p[k], out.values[k])
+            a.update(prof.p[k], out[k])
     _assert_same_bits(st, ref)

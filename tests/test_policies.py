@@ -8,7 +8,6 @@ import pytest
 
 from spreadbandits import (
     BanditInstance,
-    Outcome,
     PolicyState,
     PowerProfile,
     make_policy,
@@ -59,6 +58,13 @@ class TestMakePolicy:
             make_policy("greedy", instance())
         with pytest.raises(ValidationError, match="unknown policy kind"):
             PolicyState("greedy", 2)
+        # nor one missing its kind's fact, or given another kind's
+        for kind, kw in (("ts_known", {}), ("oracle", {}),
+                         ("uniform", {"mc_samples": 16})):
+            with pytest.raises(ValidationError, match="(required|unused) by"):
+                PolicyState(kind, 3, **kw)
+        with pytest.raises(InvalidParams, match="n_arms must be an integer"):
+            PolicyState("uniform", 2.5)
 
     def test_information_boundaries(self):
         # ts_known sees variances, oracle sees the best arm, others neither
@@ -87,7 +93,8 @@ class TestWts:
     def test_degenerate_stats_guard(self):
         # S = 0 (a hand-built state here; in a run, variances far below
         # the means' scale) must fail loudly rather than emit NaN power
-        st = PolicyState("wts", 3, round=4, mc_samples=16)
+        st = PolicyState("wts", 3, mc_samples=16)
+        st.round = 4
         with pytest.raises(InsufficientData):
             policy_step(st, np.random.default_rng(0))
 
@@ -119,7 +126,8 @@ class TestTsBaselines:
 
     def test_underfed_state_rejected(self):
         # stats with too few one-hot observations cannot be sampled from
-        st = PolicyState("ts_unknown", 2, round=7)
+        st = PolicyState("ts_unknown", 2)
+        st.round = 7
         with pytest.raises(InsufficientData):
             policy_step(st, np.random.default_rng(0))
 
@@ -147,18 +155,21 @@ class TestObserve:
         st = make_policy("uniform", instance())
         bad = PowerProfile.uniform(3)
         with pytest.raises(DimensionMismatch):
-            observe(st, bad, Outcome([None] * 4))
+            observe(st, bad, np.zeros((4, 2)))
 
     def test_missing_observation_rejected(self):
         st = make_policy("uniform", instance())
-        values = [np.zeros(2), None, np.zeros(2), np.zeros(2)]
-        with pytest.raises(MissingObservation):
-            observe(st, PowerProfile.uniform(4), Outcome(values))
+        for bad in (np.nan, np.inf):
+            x = np.zeros((4, 2))
+            x[1, 0] = bad
+            with pytest.raises(MissingObservation):
+                observe(st, PowerProfile.uniform(4), x)
 
     def test_outcome_length_checked(self):
         st = make_policy("uniform", instance())
-        with pytest.raises(DimensionMismatch):
-            observe(st, PowerProfile.uniform(4), Outcome([None] * 3))
+        for shape in ((3, 2), (4, 3)):
+            with pytest.raises(DimensionMismatch):
+                observe(st, PowerProfile.uniform(4), np.zeros(shape))
 
 
 class TestDeterminism:

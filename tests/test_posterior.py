@@ -30,13 +30,14 @@ def params(z=1.0, xbar=(0.0, 0.0), S=1.0, t=4):
 
 class TestParams:
     def test_valid(self):
-        q = params(2.0, (1.0, -1.0), 0.5, 7)
-        assert (q.z, q.S, q.t) == (2.0, 0.5, 7)
+        q = params(2.0, (1.0, -1.0), 0.5, 7.0)
+        assert (q.z, q.S, q.t) == (2.0, 0.5, 7) and type(q.t) is int
 
     @pytest.mark.parametrize("kw", [
         dict(z=0.0), dict(z=-1.0), dict(S=0.0), dict(S=-0.5), dict(t=3),
         dict(xbar=(np.nan, 0.0)), dict(xbar=(1.0, 2.0, 3.0)),
-        dict(t=4.9), dict(t=np.nan), dict(t=np.inf),
+        dict(t=4.9), dict(t=np.nan), dict(t=np.inf), dict(t=None),
+        dict(t="5"), dict(t=True),
     ])
     def test_invalid(self, kw):
         with pytest.raises(InvalidParams):

@@ -10,12 +10,12 @@ from spreadbandits import (
     freq_response,
     gain_estimate,
     grid_from_fir,
-    sample_outcome,
     synth_multisine,
 )
 from spreadbandits.errors import (
     DimensionMismatch,
     InsufficientData,
+    InvalidParams,
     NonPositiveVariance,
     TiedOptimum,
     TooFewArms,
@@ -38,6 +38,9 @@ class TestFrequencyGrid:
     def test_k_zero_rejected(self):
         with pytest.raises(TooFewArms):
             FrequencyGrid(0)
+        for bad in (2.5, True):  # a count is never truncated
+            with pytest.raises(InvalidParams, match="K must be an integer"):
+                FrequencyGrid(bad)
 
 
 class TestFreqResponse:
@@ -78,6 +81,8 @@ class TestGridFromFir:
     def test_needs_two_bins(self):
         with pytest.raises(TooFewArms):
             grid_from_fir([0.5, 0.5], [1.0], 1)
+        with pytest.raises(InvalidParams):
+            grid_from_fir([0.5, 0.5], [1.0], 3.7)
 
     def test_lowpass_peaks_at_lowest_bin(self):
         prob = grid_from_fir([0.5, 0.5], [1.0], 6)
@@ -99,15 +104,6 @@ class TestGridFromFir:
                                    prob.g_resp.real)
         np.testing.assert_allclose(prob.instance.means[:, 1],
                                    prob.g_resp.imag)
-
-
-class TestRunExperiment:
-    def test_zero_power_bin_unexcited(self):
-        prob = grid_from_fir([0.5, 0.5], [1.0], 3)
-        prof = PowerProfile(np.array([0.5, 0.0, 0.5]))
-        out = sample_outcome(prob.instance, prof, np.random.default_rng(16))
-        assert out.values[1] is None
-        assert out.values[0] is not None
 
 
 class TestMultisine:
