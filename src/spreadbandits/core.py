@@ -175,14 +175,28 @@ def _normals(rng: np.random.Generator, rows: int,
     return rng.normal(size=(rounds, rows, DIM))
 
 
+def _noise_scale(variances, p) -> np.ndarray:
+    """The (K, 1) noise scale ``sqrt(variances / (2 p))`` of arms with
+    powers ``p > 0``: the half of :func:`_draw` that depends on the play
+    alone, which the round engine keeps while a dense play repeats."""
+    return np.sqrt(variances / (2.0 * p))[:, None]
+
+
+def _shift(means, scale: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``means + scale * noise``: the half of :func:`_draw` that takes the
+    round's noise, with ``scale`` from :func:`_noise_scale`."""
+    return means + scale * noise
+
+
 def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
     """Observations of arms with powers ``p > 0``, one row per arm.
 
     Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * noise[k]``, with
-    ``noise`` one round of :func:`_normals`.  Unvalidated: the round
-    engine's dense path and the core of :func:`sample_outcome`.
+    ``noise`` one round of :func:`_normals`.  Unvalidated: the core of
+    :func:`sample_outcome`; the round engine's dense path runs its two
+    halves, :func:`_noise_scale` and :func:`_shift`, on their own.
     """
-    return means + np.sqrt(variances / (2.0 * p))[:, None] * noise
+    return _shift(means, _noise_scale(variances, p), noise)
 
 
 def _draw_arm(mx: float, my: float, var: float, g) -> tuple:

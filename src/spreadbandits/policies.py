@@ -20,8 +20,13 @@ the weighted statistics of all arms in arrays (``z`` and ``S`` of shape
 A round of the engine is :func:`_choose` (a power vector for ``wts`` and
 ``uniform``, an arm index for the one-hot kinds) followed by
 :func:`_fold_powers` or :func:`_fold_arm`; the simulation runner drives
-these directly.  The public :func:`policy_step` / :func:`observe` pair wraps
-the same functions: the play as a validated :class:`PowerProfile`, and the
+these directly.  On K-vectors numpy's fixed cost per call, about a
+microsecond, outweighs the arithmetic, so the Thompson baselines choose
+their arm in Python floats (:func:`_ts_arm`), and ``uniform`` and the
+warm-up of ``wts`` play one read-only flat profile per K (:func:`_flat`),
+whose regret step and noise scale the runner keeps while it repeats.  The
+public :func:`policy_step` / :func:`observe` pair wraps the same
+functions: the play as a validated :class:`PowerProfile`, and the
 observations as the (K, 2) array of
 :func:`spreadbandits.core.sample_outcome`, checked once on the way in.  A
 state is owned by exactly one simulation run.
@@ -37,6 +42,9 @@ fill for one round, so the public API takes from its generator exactly
 what one round takes.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from .core import (
@@ -49,7 +57,9 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     InsufficientData,
+    InvalidParams,
     MissingObservation,
+    NonPositiveVariance,
     TooFewArms,
     ValidationError,
 )
@@ -89,6 +99,9 @@ class PolicyState:
     be played.  ``mc_samples`` is given for ``wts``, ``sigma2`` for
     ``ts_known`` and ``k_star`` for ``oracle``, and each is None otherwise:
     a state missing its kind's fact, or holding another kind's, is refused.
+    The facts are checked here, once: ``mc_samples`` is a count,
+    ``sigma2`` a finite, positive vector of length K (kept as a read-only
+    float64 copy), and ``k_star`` a count below K.
     """
 
     __slots__ = ("kind", "round", "z", "S", "mean", "mc_samples", "sigma2",
@@ -109,6 +122,19 @@ class PolicyState:
                 raise ValidationError(
                     f"{name} is {'required' if kind == owner else 'unused'}"
                     f" by a {kind} policy")
+        if kind == TS_KNOWN:
+            sigma2 = np.array(sigma2, dtype=np.float64)
+            if sigma2.shape != (K,):
+                raise DimensionMismatch(
+                    f"sigma2 must have length {K}, got shape {sigma2.shape}")
+            if not (np.isfinite(sigma2).all() and (sigma2 > 0.0).all()):
+                raise NonPositiveVariance("sigma2 must be finite and > 0")
+            sigma2.setflags(write=False)
+        if kind == ORACLE:
+            k_star = _count(k_star, "k_star", 0)
+            if k_star >= K:
+                raise InvalidParams(
+                    f"k_star must be below n_arms = {K}, got {k_star}")
         self.kind = kind
         self.round = 1
         self.z = np.zeros(K)
@@ -143,7 +169,7 @@ def make_policy(kind: str, instance: BanditInstance,
     return PolicyState(
         kind, instance.n_arms,
         mc_samples=mc_samples if kind == WTS else None,
-        sigma2=instance.variances.copy() if kind == TS_KNOWN else None,
+        sigma2=instance.variances if kind == TS_KNOWN else None,
         k_star=instance.k_star if kind == ORACLE else None)
 
 
@@ -158,13 +184,17 @@ def _policy_fill(kind: str, K: int, M: int | None):
     kind takes from its stream, indexed by round, and a round takes
     ``round_bytes`` bytes: ``wts`` the kernel's words, ``ts_known`` a
     standard normal 2-vector per arm, ``ts_unknown`` per arm the ``e`` of
-    :func:`_radial_t_fill` and the cosine of its angle.
+    :func:`_radial_t_fill` and the cosine of its angle.  The Thompson
+    fills hand out Python lists for :func:`_ts_arm`'s float loop; only
+    ``ts_unknown``'s ``e`` stays a numpy K-vector, for
+    :func:`_radial_t_d2`.
     """
     if kind == WTS:
         return ((lambda rng, rounds: _uniform_bits(rng, K, M, rounds)),
                 8 * K * M)
     if kind == TS_KNOWN:
-        return (lambda rng, rounds: _normals(rng, K, rounds)), 16 * K
+        return ((lambda rng, rounds: _normals(rng, K, rounds).tolist()),
+                16 * K)
     if kind == TS_UNKNOWN:
         return (lambda rng, rounds: _ts_unknown_fill(rng, K, rounds)), 16 * K
     return None
@@ -182,15 +212,21 @@ def _env_fill(kind: str, K: int):
     return (lambda rng, rounds: _normals(rng, 1, rounds)[:, 0].tolist()), 16
 
 
-def _ts_unknown_fill(rng: np.random.Generator, K: int,
-                     rounds: int) -> np.ndarray:
-    """(rounds, 2, K): each round's ``e`` and ``cos(theta)`` of K radial-t
-    draws (:func:`_radial_t_fill`)."""
+def _ts_unknown_fill(rng: np.random.Generator, K: int, rounds: int) -> list:
+    """``rounds`` pairs, one per round: the ``e`` of K radial-t draws
+    (:func:`_radial_t_fill`) as a numpy vector and their ``cos(theta)`` as a
+    list of floats."""
     e, theta = _radial_t_fill(rng, K, rounds)
-    out = np.empty((rounds, 2, K))
-    out[:, 0] = e
-    out[:, 1] = np.cos(theta)
-    return out
+    return list(zip(e, np.cos(theta).tolist()))
+
+
+@functools.cache
+def _flat(K: int) -> np.ndarray:
+    """The uniform power vector of K arms: one read-only array per K, so
+    the round engine sees a repeated play as the same object."""
+    p = np.full(K, 1.0 / K)
+    p.setflags(write=False)
+    return p
 
 
 def _wts_powers(state: PolicyState, noise) -> np.ndarray:
@@ -200,8 +236,9 @@ def _wts_powers(state: PolicyState, noise) -> np.ndarray:
     K = z.shape[0]
     t = state.round
     if t <= WTS_WARMUP_ROUNDS:
-        return np.full(K, 1.0 / K)
-    if not (z.min() > 0.0 and S.min() > 0.0):
+        return _flat(K)
+    # the ufunc reductions skip the Python wrappers of ndarray.min and .sum
+    if not (np.minimum.reduce(z) > 0.0 and np.minimum.reduce(S) > 0.0):
         # reachable: S rounds to 0 when the noise is below the means'
         # float64 resolution (variances 1e-40 next to means of order 1)
         k = int(np.argmin(np.minimum(z, S)))
@@ -211,12 +248,18 @@ def _wts_powers(state: PolicyState, noise) -> np.ndarray:
     M = state.mc_samples
     counts = _rho_counts(z, S, float(t), state.mean, M, noise(), state._draws)
     q = np.maximum(counts / M, RHO_FLOOR / K)
-    return q / q.sum()
+    return q / np.add.reduce(q)
 
 
 def _ts_arm(state: PolicyState, noise) -> int:
     """The arm the one-hot Thompson baseline plays this round; ``noise()``
-    gives the round's posterior draws once the warm-up is over."""
+    gives the round's posterior draws once the warm-up is over.
+
+    Each sampled norm is computed in Python floats in the order of the
+    array expression it stands for (``xbar + scale * g``, then ``dx * dx +
+    dy * dy``; ``b2 + 2 sqrt(b2 d2) cos``, then ``+ d2``), so the choice is
+    bit for bit that of numpy.
+    """
     K = state.n_arms
     t = state.round
     passes = (TS_KNOWN_WARMUP_PASSES if state.kind == TS_KNOWN
@@ -224,26 +267,45 @@ def _ts_arm(state: PolicyState, noise) -> int:
     if t <= passes * K:
         return (t - 1) % K
 
-    n_obs = np.rint(state.z)
-    xbar = state.mean
+    norms2 = []
     if state.kind == TS_KNOWN:
-        if n_obs.min() < 1:
+        n_obs = np.rint(state.z).tolist()
+        if min(n_obs) < 1:
             raise InsufficientData("ts_known needs every arm observed once")
-        scale = np.sqrt(state.sigma2 / (2.0 * n_obs))
-        draws = xbar + scale[:, None] * noise()
-        norms2 = (draws * draws).sum(axis=1)
+        for (mx, my), s2, n, (g0, g1) in zip(
+                state.mean.tolist(), state.sigma2.tolist(), n_obs, noise()):
+            scale = math.sqrt(s2 / (2.0 * n))
+            dx = mx + scale * g0
+            dy = my + scale * g1
+            norms2.append(dx * dx + dy * dy)
     else:
-        if n_obs.min() < 3:
+        n_obs = np.rint(state.z)
+        if np.minimum.reduce(n_obs) < 3:
             raise InsufficientData(
                 "ts_unknown needs every arm observed three times")
         # bivariate-t posterior of an arm with n one-hot observations is the
         # weighted posterior at z = n, round index n + 1
-        w = noise()
-        d2 = _radial_t_d2(w[0], state.S / n_obs, n_obs - 2.0)
-        b2 = (xbar * xbar).sum(axis=1)
-        norms2 = b2 + 2.0 * np.sqrt(b2 * d2) * w[1]
-        norms2 += d2
-    return int(norms2.argmax())
+        e, cos = noise()
+        d2 = _radial_t_d2(e, state.S / n_obs, n_obs - 2.0)
+        for (mx, my), c, d in zip(state.mean.tolist(), cos, d2.tolist()):
+            b2 = mx * mx + my * my
+            norms2.append(b2 + 2.0 * math.sqrt(b2 * d) * c + d)
+    return _first_max(norms2)
+
+
+def _first_max(values: list) -> int:
+    """``np.argmax`` of a list of floats: the first index of the largest
+    value, or of the first NaN if there is one."""
+    best_k, best = 0, values[0]
+    if best != best:
+        return 0
+    for k in range(1, len(values)):
+        v = values[k]
+        if v > best:
+            best_k, best = k, v
+        elif v != v:
+            return k
+    return best_k
 
 
 def _choose(state: PolicyState, noise):
@@ -259,7 +321,7 @@ def _choose(state: PolicyState, noise):
     if kind == ORACLE:
         return state.k_star
     if kind == UNIFORM:
-        return np.full(state.n_arms, 1.0 / state.n_arms)
+        return _flat(state.n_arms)
     return _ts_arm(state, noise)
 
 
@@ -273,7 +335,7 @@ def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
     f = p / state.z
     state.mean += f[:, None] * d
     # the sum of a length-2 row is d_x e_x + d_y e_y, in that order
-    state.S += p * (d * (x - state.mean)).sum(axis=1)
+    state.S += p * np.add.reduce(d * (x - state.mean), axis=1)
 
 
 def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
@@ -318,7 +380,12 @@ def observe(state: PolicyState, profile: PowerProfile, x) -> PolicyState:
     """
     K = state.n_arms
     p = profile.p
-    x = np.asarray(x, dtype=np.float64)
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise DimensionMismatch(
+            f"a state of {K} arms needs a ({K}, {DIM}) float array of "
+            f"observations: {exc}") from exc
     if p.shape[0] != K or x.shape != (K, DIM):
         raise DimensionMismatch(
             f"a state of {K} arms needs {K} powers and ({K}, {DIM}) "

@@ -51,6 +51,8 @@ from .errors import InvalidParams, TooFewArms
 _ONE_BITS = np.uint32(1 << 24)
 _U_SCALE = np.float32(2.0 ** -24)
 _V_SCALE = np.float32(2.0 * np.pi) * _U_SCALE
+_max = np.maximum.reduce
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,22 +196,25 @@ def _rho_counts(z, S, t, xbar, M: int, bits: np.ndarray,
     ``draws``, a float32 (2, K, M) array, is scratch space a caller may
     reuse across calls; it is overwritten.
     """
+    # ufunc reductions throughout: the wrappers of ndarray.max and .sum,
+    # and np.ndim, cost more than the reductions on K-vectors
     K = xbar.shape[0]
     ratio = S / z
-    r = float(ratio.max())
-    big = max(float(np.abs(xbar).max()), math.sqrt(r) if r > 0.0 else 0.0)
+    r = float(_max(ratio))
+    big = max(float(_max(np.abs(xbar), axis=None)),
+              math.sqrt(r) if r > 0.0 else 0.0)
     e = math.frexp(big)[1]
     if e:
         f = math.ldexp(1.0, -e)
         xbar = xbar * f
         ratio = ratio * f * f
     scale = ratio.astype(np.float32)[:, None]
-    if np.ndim(t):
+    if isinstance(t, np.ndarray):
         expo = (-1.0 / (np.asarray(t, dtype=np.float64) - 3.0)).astype(
             np.float32)[:, None]
     else:
         expo = np.float32(-1.0 / (float(t) - 3.0))
-    b2 = (xbar * xbar).sum(axis=1).astype(np.float32)[:, None]
+    b2 = _sum(xbar * xbar, axis=1).astype(np.float32)[:, None]
     b = np.sqrt(b2)
 
     if draws is None:
@@ -233,9 +238,9 @@ def _rho_counts(z, S, t, xbar, M: int, bits: np.ndarray,
     n2 *= c
     n2 += b2
     n2 += d2
-    top = n2.max(axis=0)
-    counts = (n2 == top).sum(axis=1)
-    if counts.sum() != M:
+    top = _max(n2, axis=0)
+    counts = _sum(n2 == top, axis=1)
+    if _sum(counts) != M:
         counts = np.bincount(np.argmax(n2, axis=0), minlength=K)
     return counts
 

@@ -9,6 +9,13 @@ a :class:`spreadbandits.rng.BlockReader`, which draws a block of rounds in
 one call; a round's draws are the same whatever the block size, so the
 trace is too.
 
+The round loop keeps numpy calls on K-vectors, whose fixed cost outweighs
+their arithmetic, out of the rounds where it can: the Thompson baselines
+choose their arm in Python floats (:func:`spreadbandits.policies._ts_arm`),
+a one-hot play draws and folds its one arm in floats, and a dense play
+that is the same array as the round before (``uniform``, the warm-up of
+``wts``) reuses that round's regret step and noise scale.
+
 ``run`` writes ``<out>.csv`` with header
 
     policy,replication,t,regret_step,regret_cum[,beta_hat,k_hat]
@@ -42,7 +49,7 @@ from . import rng as rng_streams
 # attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
 from .config import RunConfig, build_instance
-from .core import _draw, _draw_arm, sample_outcome
+from .core import _draw_arm, _noise_scale, _shift, sample_outcome
 from .errors import BanditError, ValidationError
 from .policies import (
     KIND_IDS,
@@ -105,8 +112,11 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     engine's arrays: a dense play (``wts``, ``uniform``) updates all arms
     with whole-array operations, a one-hot play updates its one arm in
     Python floats, and no profile or outcome object is built per round.
-    Each stream is read in blocks of rounds; what is left of the last
-    blocks after round T is dropped with the task's generators.
+    A dense play that is the same array as the round before (``_choose``
+    hands out one read-only flat profile per K) reuses that round's regret
+    step and noise scale.  Each stream is read in blocks of rounds; what is
+    left of the last blocks after round T is dropped with the task's
+    generators.
     """
     instance = build_instance(cfg)
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
@@ -131,6 +141,8 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
     ts, steps, cums, betas, k_hats = [], [], [], [], []
     snaps = {}
     cum = 0.0
+    # the last dense play, its regret step and its noise scale
+    dense = dense_step = scale = None
     for t in range(1, T + 1):
         try:
             play = _choose(state, policy_noise)
@@ -140,9 +152,12 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
                                    env_noise())
                 _fold_arm(state, play, 1.0, x0, x1)
             else:
-                step = float(gaps @ play)
-                _fold_powers(state, play,
-                             _draw(means, variances, play, env_noise()))
+                if play is not dense:
+                    dense = play
+                    dense_step = float(gaps @ play)
+                    scale = _noise_scale(variances, play)
+                step = dense_step
+                _fold_powers(state, play, _shift(means, scale, env_noise()))
             state.round += 1
             cum += step
             if t % thin == 0 or t == T:

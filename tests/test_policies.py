@@ -20,12 +20,14 @@ from spreadbandits.errors import (
     InsufficientData,
     InvalidParams,
     MissingObservation,
+    NonPositiveVariance,
     ValidationError,
 )
 from spreadbandits.policies import (
     KINDS,
     TS_KNOWN_WARMUP_PASSES,
     TS_UNKNOWN_WARMUP_PASSES,
+    _first_max,
 )
 
 
@@ -88,6 +90,31 @@ class TestMakePolicy:
         with pytest.raises(InvalidParams, match="mc_samples"):
             make_policy("wts", instance(), mc_samples)
 
+    @pytest.mark.parametrize("sigma2,error", [
+        (np.ones(2), DimensionMismatch),
+        (np.ones((3, 1)), DimensionMismatch),
+        (np.array([1.0, 0.0, 1.0]), NonPositiveVariance),
+        (np.array([1.0, -2.0, 1.0]), NonPositiveVariance),
+        (np.array([1.0, np.nan, 1.0]), NonPositiveVariance),
+        (np.array([1.0, np.inf, 1.0]), NonPositiveVariance),
+    ])
+    def test_bad_sigma2_rejected_when_built(self, sigma2, error):
+        # the arm loop of ts_known would zip a short vector down silently
+        with pytest.raises(error, match="sigma2"):
+            PolicyState("ts_known", 3, sigma2=sigma2)
+
+    @pytest.mark.parametrize("k_star", [3, -1, True, 1.5])
+    def test_bad_k_star_rejected_when_built(self, k_star):
+        with pytest.raises(InvalidParams, match="k_star"):
+            PolicyState("oracle", 3, k_star=k_star)
+
+    def test_facts_kept_as_given(self):
+        sigma2 = [0.5, 1.0, 2.0]
+        st = PolicyState("ts_known", 3, sigma2=sigma2)
+        assert st.sigma2.dtype == np.float64 and not st.sigma2.flags.writeable
+        np.testing.assert_array_equal(st.sigma2, sigma2)
+        assert PolicyState("oracle", 3, k_star=2.0).k_star == 2
+
 
 class TestWts:
     def test_degenerate_stats_guard(self):
@@ -124,12 +151,45 @@ class TestTsBaselines:
         picks = [int(np.argmax(policy_step(st, rng).p)) for _ in range(20)]
         assert picks.count(inst.k_star) >= 15
 
+    @pytest.mark.parametrize("kind", ["ts_known", "ts_unknown"])
+    def test_exact_tie_goes_to_lowest_index(self, kind):
+        # arms 1 and 2 hold the same statistics and get the same draws, so
+        # their sampled norms are equal; arm 0 is behind both
+        st = PolicyState(kind, 3, sigma2=np.ones(3) if kind == "ts_known"
+                         else None)
+        st.z[:] = 3.0
+        st.S[:] = 0.5
+        st.mean[1:] = [1.0, 0.5]
+        st.round = 100
+        for _ in range(3):
+            assert np.argmax(policy_step(st, SameDraws()).p) == 1
+
     def test_underfed_state_rejected(self):
         # stats with too few one-hot observations cannot be sampled from
         st = PolicyState("ts_unknown", 2)
         st.round = 7
         with pytest.raises(InsufficientData):
             policy_step(st, np.random.default_rng(0))
+
+
+class SameDraws:
+    """A generator stand-in whose every draw is the same number, so every
+    arm of a round gets the same posterior draw."""
+
+    def normal(self, size):
+        return np.full(size, 0.25)
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0], [2.0, 2.0], [0.0, 3.0, 3.0, 1.0], [-1.0, -0.5, -0.5],
+    [1.0, np.nan, 5.0, np.nan], [np.nan, 2.0], [np.inf, 1.0, np.inf],
+    [-np.inf, -np.inf],
+])
+def test_first_max_is_argmax(values):
+    assert _first_max(values) == int(np.argmax(values))
 
 
 class TestFixedBaselines:
@@ -170,6 +230,12 @@ class TestObserve:
         for shape in ((3, 2), (4, 3)):
             with pytest.raises(DimensionMismatch):
                 observe(st, PowerProfile.uniform(4), np.zeros(shape))
+
+    def test_ragged_observation_rejected(self):
+        # the list layout of one array per powered arm and None elsewhere
+        st = make_policy("uniform", instance(2))
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\)"):
+            observe(st, PowerProfile.one_hot(2, 0), [[0.0, 0.0], None])
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spreadbandits import RunConfig, run, run_replication
+from spreadbandits import KINDS, RunConfig, run, run_replication
 from spreadbandits.errors import InsufficientData, ValidationError
 from spreadbandits import runner as runner_mod
 
@@ -155,8 +155,10 @@ class TestDeterminism:
             assert large_rows[key] == lines
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        serial = run(sim_config(tmp_path, "serial"), workers=1, quiet=True)
-        parallel = run(sim_config(tmp_path, "par"), workers=2, quiet=True)
+        serial = run(sim_config(tmp_path, "serial", policies=KINDS),
+                     workers=1, quiet=True)
+        parallel = run(sim_config(tmp_path, "par", policies=KINDS),
+                       workers=2, quiet=True)
         assert Path(serial.csv_path).read_bytes() \
             == Path(parallel.csv_path).read_bytes()
 
