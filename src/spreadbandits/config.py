@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import _count, new_instance
 from .errors import BanditError, InvalidParams, ParseError, ValidationError
-from .policies import KINDS
+from .policies import KINDS, MC_SAMPLES
 from .sysid import grid_from_fir
 
 MODES = ("simulate", "gain", "verify")
@@ -69,7 +69,7 @@ class RunConfig:
     replications: int = 1
     seed: int = 0
     policies: tuple = ("wts",)
-    mc_samples: int = 1024
+    mc_samples: int = MC_SAMPLES
     thin: int = 1
     out: str = "trace"
     means: np.ndarray | None = _in("instance")

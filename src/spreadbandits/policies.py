@@ -34,12 +34,13 @@ state is owned by exactly one simulation run.
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
 rounds in one call, with the part of each draw that does not depend on the
-state already applied (the radial ``-log(1 - u)`` and ``cos(2 pi v)`` of
-``ts_unknown``).  :func:`_choose` takes the round's draws from a callable,
-which it calls only in a round that draws: the runner passes a block
-reader of :mod:`spreadbandits.rng`, and :func:`policy_step` a call of the
-fill for one round, so the public API takes from its generator exactly
-what one round takes.
+state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
+radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``).
+:func:`_choose` takes the round's draws from a callable, which it calls
+only in a round that draws: the runner passes a block reader of
+:mod:`spreadbandits.rng`, and :func:`policy_step` a call of the fill for
+one round, so the public API takes from its generator exactly what one
+round takes.
 """
 
 import functools
@@ -64,10 +65,10 @@ from .errors import (
     ValidationError,
 )
 from .posterior import (
+    _kernel_uniforms,
     _radial_t_d2,
     _radial_t_fill,
     _rho_counts,
-    _uniform_bits,
 )
 
 WTS = "wts"
@@ -87,6 +88,8 @@ TS_KNOWN_WARMUP_PASSES = 1
 TS_UNKNOWN_WARMUP_PASSES = 3
 # the played profile is max(rho, RHO_FLOOR / K), renormalised
 RHO_FLOOR = 1e-6
+# joint posterior draws per WTS round, unless a run asks for another count
+MC_SAMPLES = 1024
 
 
 class PolicyState:
@@ -101,11 +104,13 @@ class PolicyState:
     a state missing its kind's fact, or holding another kind's, is refused.
     The facts are checked here, once: ``mc_samples`` is a count,
     ``sigma2`` a finite, positive vector of length K (kept as a read-only
-    float64 copy), and ``k_star`` a count below K.
+    float64 copy), and ``k_star`` a count below K.  A state holds nothing
+    else: the draws a round takes come from :func:`_policy_fill`, outside
+    it.
     """
 
     __slots__ = ("kind", "round", "z", "S", "mean", "mc_samples", "sigma2",
-                 "k_star", "_draws", "_fill")
+                 "k_star")
 
     def __init__(self, kind: str, n_arms: int,
                  mc_samples: int | None = None, sigma2=None,
@@ -143,11 +148,6 @@ class PolicyState:
         self.mc_samples = mc_samples
         self.sigma2 = sigma2
         self.k_star = k_star
-        # the Monte Carlo kernel's uniforms, reused every round
-        self._draws = (None if mc_samples is None else
-                       np.empty((2, K, mc_samples), dtype=np.float32))
-        # what a round draws from the policy's stream
-        self._fill = _policy_fill(kind, K, mc_samples)
 
     @property
     def n_arms(self) -> int:
@@ -159,7 +159,7 @@ class PolicyState:
 
 
 def make_policy(kind: str, instance: BanditInstance,
-                mc_samples: int = 1024) -> PolicyState:
+                mc_samples: int = MC_SAMPLES) -> PolicyState:
     """Fresh state for ``kind`` against ``instance``.
 
     Baselines receive only what they are entitled to know: ``ts_known``
@@ -182,7 +182,8 @@ def _policy_fill(kind: str, K: int, M: int | None):
 
     ``fill(rng, rounds)`` draws ``rounds`` rounds of what one round of the
     kind takes from its stream, indexed by round, and a round takes
-    ``round_bytes`` bytes: ``wts`` the kernel's words, ``ts_known`` a
+    ``round_bytes`` bytes: ``wts`` the kernel's float32 uniforms
+    (:func:`_kernel_uniforms`), which its round overwrites, ``ts_known`` a
     standard normal 2-vector per arm, ``ts_unknown`` per arm the ``e`` of
     :func:`_radial_t_fill` and the cosine of its angle.  The Thompson
     fills hand out Python lists for :func:`_ts_arm`'s float loop; only
@@ -190,7 +191,7 @@ def _policy_fill(kind: str, K: int, M: int | None):
     :func:`_radial_t_d2`.
     """
     if kind == WTS:
-        return ((lambda rng, rounds: _uniform_bits(rng, K, M, rounds)),
+        return ((lambda rng, rounds: _kernel_uniforms(rng, K, M, rounds)),
                 8 * K * M)
     if kind == TS_KNOWN:
         return ((lambda rng, rounds: _normals(rng, K, rounds).tolist()),
@@ -231,7 +232,7 @@ def _flat(K: int) -> np.ndarray:
 
 def _wts_powers(state: PolicyState, noise) -> np.ndarray:
     """The WTS power vector of the current round; ``noise()`` gives the
-    round's kernel words."""
+    round's kernel uniforms."""
     z, S = state.z, state.S
     K = z.shape[0]
     t = state.round
@@ -246,7 +247,7 @@ def _wts_powers(state: PolicyState, noise) -> np.ndarray:
             f"arm {k} statistics degenerate at round {t} "
             f"(z={z[k]}, S={S[k]})")
     M = state.mc_samples
-    counts = _rho_counts(z, S, float(t), state.mean, M, noise(), state._draws)
+    counts = _rho_counts(z, S, float(t), state.mean, M, noise())
     q = np.maximum(counts / M, RHO_FLOOR / K)
     return q / np.add.reduce(q)
 
@@ -363,7 +364,7 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
 def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     """The profile ``state.kind`` plays this round, drawing one round from
     ``rng`` if the round draws at all."""
-    fill = state._fill
+    fill = _policy_fill(state.kind, state.n_arms, state.mc_samples)
     play = _choose(state, None if fill is None else
                    lambda: fill[0](rng, 1)[0])
     if isinstance(play, np.ndarray):

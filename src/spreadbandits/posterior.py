@@ -27,14 +27,13 @@ each arm has the largest mean norm, by Monte Carlo over joint draws.  Its
 kernel, :func:`_rho_counts`, runs the same sampler in float32 on the
 uniforms ``rng.random(dtype=np.float32)`` would give, on every bit
 generator.  It draws nothing itself: it takes one round of
-:func:`_uniform_bits`, the words behind those uniforms, which come from the
-raw 64-bit words for PCG64 and from ``rng.integers`` elsewhere, for one
-round (:func:`estimate_rho`) or a block of rounds (the simulation runner).
-It stays a separate kernel because it is the hot path of every WTS round:
-it works in place on a reused float32 buffer, rescales the statistics so
-float32 neither overflows nor underflows, and must keep its counts
-bit-equal, draw for draw, to the reference kernel that the engine tests
-compare it with.
+:func:`_kernel_uniforms`, the float32 ``1 - u`` and ``2 pi v`` that the
+fill makes from raw words for a block of rounds at once (one round for
+:func:`estimate_rho`).  It stays a separate kernel because it is the hot
+path of every WTS round: it works in place on its round of the block,
+rescales the statistics so float32 neither overflows nor underflows, and
+must keep its counts bit-equal, draw for draw, to the reference kernel
+that the engine tests compare it with.
 """
 
 import math
@@ -46,11 +45,10 @@ from .core import _count
 from .errors import InvalidParams, TooFewArms
 
 # the Monte Carlo kernel's uniforms: u = m * 2^-24 for a 24-bit mantissa m,
-# 1 - u = (2^24 - m) * 2^-24 and 2 pi v = m * (fl32(2 pi) * 2^-24), all exact
-# scalings by a power of two
-_ONE_BITS = np.uint32(1 << 24)
-_U_SCALE = np.float32(2.0 ** -24)
-_V_SCALE = np.float32(2.0 * np.pi) * _U_SCALE
+# so 1 - u = 1 + m * -2^-24, exact, and 2 pi v = m * (fl32(2 pi) * 2^-24),
+# rounded once as fl32(2 pi) * v is
+_UV_SCALE = np.array([-2.0 ** -24, np.float32(2.0 * np.pi) * 2.0 ** -24],
+                     dtype=np.float32)[:, None, None]
 _max = np.maximum.reduce
 _sum = np.add.reduce
 
@@ -141,30 +139,42 @@ def sample_posterior(params: PosteriorParams, rng: np.random.Generator,
     return out[0] if size is None else out
 
 
-def _uniform_bits(rng: np.random.Generator, K: int, M: int,
-                  rounds: int) -> np.ndarray:
-    """``rounds`` rounds of the 2*K*M words behind ``rng.random((2, K, M),
-    dtype=np.float32)``, shape (rounds, 2, K, M).
+def _kernel_uniforms(rng: np.random.Generator, K: int, M: int,
+                     rounds: int) -> np.ndarray:
+    """``rounds`` rounds of the kernel's uniforms, float32 of shape (rounds,
+    2, K, M): per round ``1 - u`` then ``2 pi v``, where ``u`` and ``v`` are
+    ``rng.random((2, K, M), dtype=np.float32)``.
 
-    numpy's float32 uniform is ``(next_uint32 >> 8) * 2^-24``, so these
-    uint32 words, shifted right by 8, are its 24-bit mantissas in stream
-    order, and the generator ends in the state that ``rounds`` such draws
-    leave it in.  A PCG64 generator with no buffered half-word hands out
-    each 64-bit word as its low, then its high half, which on a
-    little-endian machine is ``random_raw`` viewed as uint32, at half the
-    cost of the float fill.  Any other generator draws the same words
-    through ``integers``.
+    numpy's float32 uniform is ``(next_uint32 >> 8) * 2^-24``, so the fill
+    draws those uint32 words in stream order and leaves the generator in
+    the state that ``rounds`` such draws leave it in.  A PCG64 generator
+    with no buffered half-word hands out each 64-bit word as its low, then
+    its high half, which on a little-endian machine is ``random_raw``
+    viewed as uint32, at half the cost of the float fill; any other
+    generator draws the same words through ``integers``.  The words become
+    their 24-bit mantissas ``m`` as float32 in place, exactly; one multiply
+    by ``(-2^-24, fl32(2 pi) 2^-24)`` and ``+ 1`` on the ``u`` half then give
+    values bit-equal to ``1 - u`` and ``fl32(2 pi) * v`` in float32.
     """
     bg = rng.bit_generator
     shape = (rounds, 2, K, M)
     if (type(bg) is np.random.PCG64 and np.little_endian
             and not bg.state["has_uint32"]):
-        return bg.random_raw(rounds * K * M).view(np.uint32).reshape(shape)
-    return rng.integers(0, 1 << 32, size=shape, dtype=np.uint32)
+        words = bg.random_raw(rounds * K * M).view(np.uint32).reshape(shape)
+    else:
+        words = rng.integers(0, 1 << 32, size=shape, dtype=np.uint32)
+    draws = words.view(np.float32)
+    # numpy copies an input that shares memory with an output of another
+    # dtype; a round at a time, that copy stays small (block-wide, it cost
+    # a gain round 16 minor page faults under glibc's malloc)
+    for i in range(rounds):
+        np.right_shift(words[i], 8, out=draws[i])
+    draws *= _UV_SCALE
+    draws[:, 0] += 1
+    return draws
 
 
-def _rho_counts(z, S, t, xbar, M: int, bits: np.ndarray,
-                draws: np.ndarray | None = None) -> np.ndarray:
+def _rho_counts(z, S, t, xbar, M: int, draws: np.ndarray) -> np.ndarray:
     """Count argmax-norm wins over M joint posterior draws (array kernel).
 
     ``z`` and ``S`` are length-K vectors, ``t`` a scalar or a length-K
@@ -180,21 +190,13 @@ def _rho_counts(z, S, t, xbar, M: int, bits: np.ndarray,
     the same at every scale where ``S / z`` is finite, and float32 neither
     overflows nor underflows.
 
-    ``bits`` is one round of :func:`_uniform_bits`, the (2, K, M) words
-    behind the float32 uniforms u then v of ``rng.random((2, K, M),
-    dtype=np.float32)``; the kernel overwrites it.  Of each word it keeps
-    the 24-bit mantissa ``m``, forms ``1 - u`` as the integer ``2^24 - m``
-    and scales both halves by a power of two (``2 pi`` folded into the v
-    scale), so every value is bit-equal to ``1 - u`` and ``2 pi v`` in
-    float32.
+    ``draws`` is one round of :func:`_kernel_uniforms`, the float32 (2, K,
+    M) ``1 - u`` and ``2 pi v``; the kernel works in it and overwrites it.
 
     Each draw's winner is the arm of largest norm, the lowest index on a
     tie.  Wins are counted as the arms equal to the column maximum; when
     those counts do not sum to M (a tie, or a NaN from non-finite input),
     they come from ``argmax`` instead.
-
-    ``draws``, a float32 (2, K, M) array, is scratch space a caller may
-    reuse across calls; it is overwritten.
     """
     # ufunc reductions throughout: the wrappers of ndarray.max and .sum,
     # and np.ndim, cost more than the reductions on K-vectors
@@ -217,14 +219,7 @@ def _rho_counts(z, S, t, xbar, M: int, bits: np.ndarray,
     b2 = _sum(xbar * xbar, axis=1).astype(np.float32)[:, None]
     b = np.sqrt(b2)
 
-    if draws is None:
-        draws = np.empty((2, K, M), dtype=np.float32)
-    bits >>= 8
-    np.subtract(_ONE_BITS, bits[0], out=bits[0])
-    np.copyto(draws, bits)
     u, c = draws
-    u *= _U_SCALE
-    c *= _V_SCALE
     np.log(u, out=u)
     u *= expo
     np.expm1(u, out=u)
@@ -264,5 +259,5 @@ def estimate_rho(all_params, mc_samples: int,
     S = np.array([q.S for q in all_params])
     t = np.array([q.t for q in all_params], dtype=np.float64)
     xbar = np.array([q.xbar for q in all_params])
-    counts = _rho_counts(z, S, t, xbar, M, _uniform_bits(rng, K, M, 1)[0])
-    return counts / M
+    return _rho_counts(z, S, t, xbar, M,
+                       _kernel_uniforms(rng, K, M, 1)[0]) / M

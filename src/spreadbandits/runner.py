@@ -49,14 +49,15 @@ from . import rng as rng_streams
 # attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
 from .config import RunConfig, build_instance
-from .core import _draw_arm, _noise_scale, _shift, sample_outcome
-from .errors import BanditError, ValidationError
+from .core import _count, _draw_arm, _noise_scale, _shift, sample_outcome
+from .errors import BanditError, InvalidParams, ValidationError
 from .policies import (
     KIND_IDS,
     _choose,
     _env_fill,
     _fold_arm,
     _fold_powers,
+    _policy_fill,
     make_policy,
     observe,
     policy_step,
@@ -123,11 +124,12 @@ def run_replication(cfg: RunConfig, kind: str, replication: int
                                  rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.POLICY)
+    K = instance.n_arms
     state = make_policy(kind, instance, cfg.mc_samples)
-    env_noise = rng_streams.BlockReader(
-        rng_env, *_env_fill(kind, instance.n_arms)).next
-    policy_noise = (None if state._fill is None else
-                    rng_streams.BlockReader(rng_pol, *state._fill).next)
+    env_noise = rng_streams.BlockReader(rng_env, *_env_fill(kind, K)).next
+    fill = _policy_fill(kind, K, state.mc_samples)
+    policy_noise = (None if fill is None else
+                    rng_streams.BlockReader(rng_pol, *fill).next)
     T = cfg.T
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
@@ -231,11 +233,15 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     """Execute every (policy, replication) task and write the trace files.
 
     ``cfg`` was checked when it was built (see :class:`RunConfig`), so the
-    one rule left here is that it describes a simulate or gain run.
+    rules left here are that it describes a simulate or gain run and that
+    ``workers`` is a count, by the rule of every other count.
     """
     if cfg.mode not in ("simulate", "gain"):
         raise ValidationError(f"run() handles simulate/gain, not {cfg.mode!r}")
-    workers = max(1, int(workers))
+    try:
+        workers = _count(workers, "workers")
+    except InvalidParams as e:
+        raise ValidationError(str(e)) from None
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
 

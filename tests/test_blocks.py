@@ -5,8 +5,8 @@ through :class:`BlockReader`, it must give, for any block size, the rounds
 that one single-round fill per round gives, and leave the generator where
 those fills leave it.  What a single-round fill draws is tied to numpy's
 own per-round draws by ``tests/test_engine.py``: ``_check_kernel`` for the
-WTS words, the per-round reference loop of ``engine_reference`` for every
-other fill.
+WTS kernel's float32 uniforms, the per-round reference loop of
+``engine_reference`` for every other fill.
 """
 
 import numpy as np

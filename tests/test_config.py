@@ -204,6 +204,13 @@ class TestRoundTrip:
         cfg = RunConfig(mode="verify")
         assert cfg.policies == ("wts",)
 
+    def test_direct_construction_rejects_other_mode_field(self):
+        # parse_config stops a foreign section before it gets here
+        with pytest.raises(ValidationError,
+                           match=r"^K: not used in simulate mode$"):
+            RunConfig(mode="simulate", T=10, means=[[2.0, 0.0], [1.0, 0.0]],
+                      variances=[1.0, 1.0], K=4)
+
     def test_rule_message_names_field_alone(self):
         # the value may come from --seed or a Python call, not a [run] line
         with pytest.raises(ValidationError,

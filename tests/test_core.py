@@ -101,6 +101,15 @@ class TestPowerProfile:
         with pytest.raises(InvalidProfile, match="powers must be nonnegative"):
             PowerProfile(np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("p,message", [
+        (np.full((2, 2), 0.25), "1-d"),
+        ([np.nan, 1.0], "finite"),
+        ([1.5, 0.0], "must not exceed 1"),
+    ])
+    def test_malformed_powers_rejected(self, p, message):
+        with pytest.raises(InvalidProfile, match=message):
+            PowerProfile(p)
+
     def test_profile_array_is_frozen(self):
         p = PowerProfile.uniform(2)
         with pytest.raises(ValueError):
@@ -131,6 +140,16 @@ class TestBatchStats:
         assert z == 2.0
         assert xbar == pytest.approx((1.0, 1.0))
         assert S == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("powers,xs,error,message", [
+        ([[1.0, 1.0]], [(1.0, 1.0), (2.0, 2.0)], DimensionMismatch, "1-d"),
+        ([1.0, 1.0], [(1.0, 1.0)], DimensionMismatch, r"\(2, 2\)"),
+        ([1.0, -1.0], [(1.0, 1.0), (2.0, 2.0)], InvalidProfile,
+         "nonnegative"),
+    ])
+    def test_malformed_history_rejected(self, powers, xs, error, message):
+        with pytest.raises(error, match=message):
+            batch_stats(powers, xs)
 
     def test_all_zero_rejected(self):
         with pytest.raises(InsufficientData,

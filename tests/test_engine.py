@@ -21,7 +21,7 @@ from spreadbandits import (
 )
 from spreadbandits.core import batch_stats
 from spreadbandits.policies import PolicyState, _fold_arm, _fold_powers
-from spreadbandits.posterior import _rho_counts, _uniform_bits
+from spreadbandits.posterior import _kernel_uniforms, _rho_counts
 from engine_reference import (
     ScalarArm,
     assert_matches_reference,
@@ -48,8 +48,8 @@ def test_engine_matches_scalar_loop(kind, make_cfg, seed):
 
 @pytest.mark.parametrize("K,M", [(5, 512), (16, 1024)])
 def test_kernel_matches_reference_draw_for_draw(K, M):
-    # one (2, K, M) draw into a reused buffer consumes the float32 stream
-    # exactly as the two (K, M) draws of the reference did
+    # one (2, K, M) round of the fill consumes the float32 stream exactly
+    # as the two (K, M) draws of the reference did
     _check_kernel(K, M, range(50), 1000, np.random.default_rng)
 
 
@@ -64,7 +64,6 @@ def test_kernel_keeps_float32_stream_on_any_generator(case, K, M):
 
 
 def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
-    draws = np.empty((2, K, M), dtype=np.float32)
     for seed in seeds:
         gen = np.random.default_rng(stats_seed + seed)
         z = gen.random(K) * 50.0 + 1.0
@@ -77,8 +76,8 @@ def _check_kernel(K, M, seeds, stats_seed, make_rng, per_arm_t=False):
         ref_rng = make_rng(seed)
         rng = make_rng(seed)
         want = reference_rho_counts(z, S, t, xbar, M, ref_rng)
-        got = _rho_counts(z, S, t, xbar, M, _uniform_bits(rng, K, M, 1)[0],
-                          draws)
+        got = _rho_counts(z, S, t, xbar, M,
+                          _kernel_uniforms(rng, K, M, 1)[0])
         np.testing.assert_array_equal(got, want, err_msg=f"seed={seed}")
         assert_same_state(rng, ref_rng)
 

@@ -164,11 +164,13 @@ class TestTsBaselines:
         for _ in range(3):
             assert np.argmax(policy_step(st, SameDraws()).p) == 1
 
-    def test_underfed_state_rejected(self):
+    @pytest.mark.parametrize("kind", ["ts_known", "ts_unknown"])
+    def test_underfed_state_rejected(self, kind):
         # stats with too few one-hot observations cannot be sampled from
-        st = PolicyState("ts_unknown", 2)
+        st = PolicyState(kind, 2, sigma2=np.ones(2) if kind == "ts_known"
+                         else None)
         st.round = 7
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InsufficientData, match="observed"):
             policy_step(st, np.random.default_rng(0))
 
 

@@ -15,13 +15,13 @@ from spreadbandits import (
     sample_posterior,
 )
 from spreadbandits.errors import InvalidParams, TooFewArms
-from spreadbandits.posterior import _rho_counts, _uniform_bits
+from spreadbandits.posterior import _kernel_uniforms, _rho_counts
 
 
 def rho_counts(z, S, t, xbar, M, rng):
-    """The float32 kernel on one round of ``rng``'s words."""
+    """The float32 kernel on one round of ``rng``'s uniforms."""
     return _rho_counts(z, S, t, xbar, M,
-                       _uniform_bits(rng, xbar.shape[0], M, 1)[0])
+                       _kernel_uniforms(rng, xbar.shape[0], M, 1)[0])
 
 
 def params(z=1.0, xbar=(0.0, 0.0), S=1.0, t=4):

@@ -155,12 +155,15 @@ class TestDeterminism:
             assert large_rows[key] == lines
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        serial = run(sim_config(tmp_path, "serial", policies=KINDS),
-                     workers=1, quiet=True)
-        parallel = run(sim_config(tmp_path, "par", policies=KINDS),
-                       workers=2, quiet=True)
-        assert Path(serial.csv_path).read_bytes() \
-            == Path(parallel.csv_path).read_bytes()
+        # gain mode adds the beta_hat and k_hat columns, and its wts tasks
+        # carry the kernel's stream fill through the pool
+        for make_cfg in (sim_config, gain_config):
+            serial = run(make_cfg(tmp_path, "serial", policies=KINDS),
+                         workers=1, quiet=True)
+            parallel = run(make_cfg(tmp_path, "par", policies=KINDS),
+                           workers=2, quiet=True)
+            assert Path(serial.csv_path).read_bytes() \
+                == Path(parallel.csv_path).read_bytes()
 
     def test_policy_order_irrelevant(self, tmp_path):
         a = run(sim_config(tmp_path, "a",
@@ -234,6 +237,17 @@ class TestRunValidation:
         with pytest.raises(ValidationError, match=field):
             run(sim_config(tmp_path, **{field: value}), quiet=True)
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.7, True, "2", None])
+    def test_workers_checked_at_boundary(self, tmp_path, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            run(sim_config(tmp_path), workers=workers, quiet=True)
+        assert not list(tmp_path.iterdir())
+
+    def test_integral_float_workers_accepted(self, tmp_path):
+        rep = run(sim_config(tmp_path, policies=("uniform",), replications=2),
+                  workers=2.0, quiet=True)
+        assert len(rep.outputs) == 2
 
 
 def reference_write_csv(path, outputs, gain_mode):
