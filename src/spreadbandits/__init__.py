@@ -14,7 +14,6 @@ from .core import (
     PowerProfile,
     batch_stats,
     new_instance,
-    sample_outcome,
 )
 from .posterior import (
     PosteriorParams,
@@ -34,6 +33,7 @@ from .policies import (
     make_policy,
     observe,
     policy_step,
+    sample_outcome,
 )
 from .bounds import (
     BoundConstants,

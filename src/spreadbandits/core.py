@@ -8,9 +8,10 @@ power over the arms; an arm allocated power ``p_k > 0`` returns
 
 i.e. measurement quality scales with committed power, and an arm with
 ``p_k = 0`` returns nothing.  The best arm is the one of largest mean norm.
-A round's observations are one (K, 2) float array, row k for arm k
-(:func:`sample_outcome`); the row of an arm with zero power is NaN, and
-every fold reads the rows of powered arms only.
+This module holds the instance and the power profile; the observations are
+drawn by the round engine (:func:`spreadbandits.policies.sample_outcome`),
+one (K, 2) float array per round whose row for an arm with zero power is
+NaN.
 
 Per-arm evidence is summarised by power-weighted statistics
 
@@ -25,7 +26,6 @@ with a weighted incremental update; :func:`batch_stats` recomputes them
 from the raw history and is kept as a cross-check oracle.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,68 +165,6 @@ class PowerProfile:
         p = np.zeros(K)
         p[k] = 1.0
         return cls(p)
-
-
-def _normals(rng: np.random.Generator, rows: int,
-             rounds: int) -> np.ndarray:
-    """``rounds`` rounds of ``rng.normal(size=(rows, 2))``, shape
-    (rounds, rows, 2): the outcome noise of ``rows`` powered arms, and the
-    known-variance Thompson baseline's posterior draws."""
-    return rng.normal(size=(rounds, rows, DIM))
-
-
-def _noise_scale(variances, p) -> np.ndarray:
-    """The (K, 1) noise scale ``sqrt(variances / (2 p))`` of arms with
-    powers ``p > 0``: the half of :func:`_draw` that depends on the play
-    alone, which the round engine keeps while a dense play repeats."""
-    return np.sqrt(variances / (2.0 * p))[:, None]
-
-
-def _shift(means, scale: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """``means + scale * noise``: the half of :func:`_draw` that takes the
-    round's noise, with ``scale`` from :func:`_noise_scale`."""
-    return means + scale * noise
-
-
-def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
-    """Observations of arms with powers ``p > 0``, one row per arm.
-
-    Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * noise[k]``, with
-    ``noise`` one round of :func:`_normals`.  Unvalidated: the core of
-    :func:`sample_outcome`; the round engine's dense path runs its two
-    halves, :func:`_noise_scale` and :func:`_shift`, on their own.
-    """
-    return _shift(means, _noise_scale(variances, p), noise)
-
-
-def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
-    """:func:`_draw` for one arm at full power, in Python floats: the round
-    engine's one-hot path (same arithmetic as a one-row :func:`_draw` with
-    ``p = 1``, on the pair ``g`` of its noise)."""
-    g0, g1 = g
-    sd = math.sqrt(var / 2.0)
-    return mx + sd * g0, my + sd * g1
-
-
-def sample_outcome(instance: BanditInstance, profile: PowerProfile,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw one round of observations under ``profile``, shape (K, 2).
-
-    Row k of an arm with power ``p_k > 0`` is
-    ``mu_k + sqrt(sigma_k^2/(2 p_k)) * g`` with ``g`` standard 2-d normal;
-    the row of an arm with zero power is NaN.  Takes one round of
-    :func:`_normals` for the powered arms alone from ``rng``.
-    """
-    p = profile.p
-    K = instance.n_arms
-    if p.shape[0] != K:
-        raise DimensionMismatch(
-            f"profile has {p.shape[0]} entries for {K} arms")
-    active = p > 0.0
-    x = np.full((K, DIM), np.nan)
-    x[active] = _draw(instance.means[active], instance.variances[active],
-                      p[active], _normals(rng, int(active.sum()), 1)[0])
-    return x
 
 
 def batch_stats(powers, xs) -> tuple:

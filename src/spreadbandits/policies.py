@@ -1,4 +1,5 @@
-"""Allocation policies over a power-weighted bandit instance.
+"""The round engine: allocation policies, the observations they draw, and
+the loop that plays one replication.
 
 Five policy kinds share one state layout, :class:`PolicyState`, which keeps
 the weighted statistics of all arms in arrays (``z`` and ``S`` of shape
@@ -17,19 +18,22 @@ the weighted statistics of all arms in arrays (``z`` and ``S`` of shape
 * ``oracle`` - all power on the true best arm every round.
 * ``uniform`` - the flat profile every round.
 
-A round of the engine is :func:`_choose` (a power vector for ``wts`` and
-``uniform``, an arm index for the one-hot kinds) followed by
-:func:`_fold_powers` or :func:`_fold_arm`; the simulation runner drives
-these directly.  On K-vectors numpy's fixed cost per call, about a
-microsecond, outweighs the arithmetic, so the Thompson baselines choose
-their arm in Python floats (:func:`_ts_arm`), and ``uniform`` and the
+A round is :func:`_choose` (a power vector for ``wts`` and ``uniform``, an
+arm index for the one-hot kinds), the draw of its observations
+(:func:`_draw`), the fold (:func:`_fold_powers` or :func:`_fold_arm`) and
+its regret ``gaps @ p``; :func:`_replicate` plays the rounds of one
+replication.  On K-vectors numpy's fixed cost per call, about a
+microsecond, outweighs the arithmetic, so the loop keeps such calls out of
+the rounds where it can: the Thompson baselines choose their arm in Python
+floats (:func:`_ts_arm`), a one-hot play draws and folds its one arm in
+floats (:func:`_draw_arm`, :func:`_fold_arm`), and ``uniform`` and the
 warm-up of ``wts`` play one read-only flat profile per K (:func:`_flat`),
-whose regret step and noise scale the runner keeps while it repeats.  The
-public :func:`policy_step` / :func:`observe` pair wraps the same
-functions: the play as a validated :class:`PowerProfile`, and the
-observations as the (K, 2) array of
-:func:`spreadbandits.core.sample_outcome`, checked once on the way in.  A
-state is owned by exactly one simulation run.
+whose regret step and noise scale the loop keeps while it repeats.  The
+public :func:`policy_step`, :func:`sample_outcome` and :func:`observe` run
+the same functions one round at a time, validated: the play as a
+:class:`PowerProfile`, and the observations as one (K, 2) array whose row
+for an arm with zero power is NaN, checked once on the way in.  A state is
+owned by exactly one simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
@@ -37,7 +41,7 @@ rounds in one call, with the part of each draw that does not depend on the
 state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
 radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``).
 :func:`_choose` takes the round's draws from a callable, which it calls
-only in a round that draws: the runner passes a block reader of
+only in a round that draws: :func:`_replicate` passes a block reader of
 :mod:`spreadbandits.rng`, and :func:`policy_step` a call of the fill for
 one round, so the public API takes from its generator exactly what one
 round takes.
@@ -48,14 +52,10 @@ import math
 
 import numpy as np
 
-from .core import (
-    DIM,
-    BanditInstance,
-    PowerProfile,
-    _count,
-    _normals,
-)
+from . import rng as rng_streams
+from .core import DIM, BanditInstance, PowerProfile, _count
 from .errors import (
+    BanditError,
     DimensionMismatch,
     InsufficientData,
     InvalidParams,
@@ -70,6 +70,7 @@ from .posterior import (
     _radial_t_fill,
     _rho_counts,
 )
+from .sysid import gain_estimate
 
 WTS = "wts"
 TS_KNOWN = "ts_known"
@@ -171,6 +172,50 @@ def make_policy(kind: str, instance: BanditInstance,
         mc_samples=mc_samples if kind == WTS else None,
         sigma2=instance.variances if kind == TS_KNOWN else None,
         k_star=instance.k_star if kind == ORACLE else None)
+
+
+# ---------------------------------------------------------------------------
+# the observation model: draws of the arms' outcomes
+
+def _normals(rng: np.random.Generator, rows: int,
+             rounds: int) -> np.ndarray:
+    """``rounds`` rounds of ``rng.normal(size=(rows, 2))``, shape
+    (rounds, rows, 2): the outcome noise of ``rows`` powered arms, and the
+    known-variance Thompson baseline's posterior draws."""
+    return rng.normal(size=(rounds, rows, DIM))
+
+
+def _noise_scale(variances, p) -> np.ndarray:
+    """The (K, 1) noise scale ``sqrt(variances / (2 p))`` of arms with
+    powers ``p > 0``: the half of :func:`_draw` that depends on the play
+    alone, which the round engine keeps while a dense play repeats."""
+    return np.sqrt(variances / (2.0 * p))[:, None]
+
+
+def _shift(means, scale: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``means + scale * noise``: the half of :func:`_draw` that takes the
+    round's noise, with ``scale`` from :func:`_noise_scale`."""
+    return means + scale * noise
+
+
+def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
+    """Observations of arms with powers ``p > 0``, one row per arm.
+
+    Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * noise[k]``, with
+    ``noise`` one round of :func:`_normals`.  Unvalidated: the core of
+    :func:`sample_outcome`; the round engine's dense path runs its two
+    halves, :func:`_noise_scale` and :func:`_shift`, on their own.
+    """
+    return _shift(means, _noise_scale(variances, p), noise)
+
+
+def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
+    """:func:`_draw` for one arm at full power, in Python floats: the round
+    engine's one-hot path (same arithmetic as a one-row :func:`_draw` with
+    ``p = 1``, on the pair ``g`` of its noise)."""
+    g0, g1 = g
+    sd = math.sqrt(var / 2.0)
+    return mx + sd * g0, my + sd * g1
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +403,85 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
     state.z[k] = z1
 
 
+def _replicate(cfg, instance: BanditInstance, kind: str,
+               replication: int) -> tuple:
+    """Play ``kind`` for one replication of ``cfg.T`` rounds on the
+    ``instance`` that the :class:`spreadbandits.RunConfig` ``cfg`` builds.
+
+    Returns ``(t, regret_step, regret_cum, final_cum, z_snapshots,
+    gain_cols)``: the columns of every ``thin``-th round and round T, the
+    regret at T, per-arm cumulative power at rounds T//10 and T, and in gain
+    mode the ``beta_hat`` and ``k_hat`` columns by name (else ``{}``).  No
+    profile or outcome object is built per round.  Each stream is read in
+    blocks of rounds; what is left of the last blocks after round T is
+    dropped with the task's generators.  A :class:`BanditError` of a round
+    is raised again with its policy, replication and round in the message.
+    """
+    rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
+                                 rng_streams.ENV)
+    rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
+                                 rng_streams.POLICY)
+    K = instance.n_arms
+    state = make_policy(kind, instance, cfg.mc_samples)
+    env_noise = rng_streams.BlockReader(rng_env, *_env_fill(kind, K)).next
+    fill = _policy_fill(kind, K, state.mc_samples)
+    policy_noise = (None if fill is None else
+                    rng_streams.BlockReader(rng_pol, *fill).next)
+    T = cfg.T
+    thin = cfg.thin
+    snap_at = {max(1, T // 10), T}
+    gain_mode = cfg.mode == "gain"
+    means, variances, gaps = instance.means, instance.variances, instance.gaps
+    # a one-hot play reads its arm's constants as Python floats;
+    # gaps[k] is bit-equal to gaps @ one_hot(k)
+    mean_x, mean_y = means[:, 0].tolist(), means[:, 1].tolist()
+    var, gap = variances.tolist(), gaps.tolist()
+
+    ts, steps, cums, betas, k_hats = [], [], [], [], []
+    snaps = {}
+    cum = 0.0
+    # the last dense play, its regret step and its noise scale
+    dense = dense_step = scale = None
+    for t in range(1, T + 1):
+        try:
+            play = _choose(state, policy_noise)
+            if type(play) is int:
+                step = gap[play]
+                x0, x1 = _draw_arm(mean_x[play], mean_y[play], var[play],
+                                   env_noise())
+                _fold_arm(state, play, 1.0, x0, x1)
+            else:
+                if play is not dense:
+                    dense = play
+                    dense_step = float(gaps @ play)
+                    scale = _noise_scale(variances, play)
+                step = dense_step
+                _fold_powers(state, play, _shift(means, scale, env_noise()))
+            state.round += 1
+            cum += step
+            if t % thin == 0 or t == T:
+                ts.append(t)
+                steps.append(step)
+                cums.append(cum)
+                if gain_mode:
+                    est = gain_estimate(state.z, state.mean)
+                    betas.append(est.beta_hat)
+                    k_hats.append(est.k_hat)
+        except BanditError as exc:
+            raise type(exc)(f"policy={kind} replication={replication} "
+                            f"round={t}: {exc}") from exc
+        if t in snap_at:
+            snaps[t] = state.z.copy()
+    gain_cols = {}
+    if gain_mode:
+        gain_cols = {"beta_hat": np.array(betas, dtype=np.float64),
+                     "k_hat": np.array(k_hats, dtype=np.int64)}
+    return (np.array(ts, dtype=np.int64),
+            np.array(steps, dtype=np.float64),
+            np.array(cums, dtype=np.float64),
+            cum, snaps, gain_cols)
+
+
 # ---------------------------------------------------------------------------
 # the public, validated API over the same engine
 
@@ -375,9 +499,9 @@ def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
 def observe(state: PolicyState, profile: PowerProfile, x) -> PolicyState:
     """Fold one round of observations into ``state`` (mutates and returns it).
 
-    ``x`` is the round's (K, 2) observation array, as
-    :func:`spreadbandits.core.sample_outcome` returns it: row k is read
-    when ``p_k > 0``, and must then be finite, and is ignored otherwise.
+    ``x`` is the round's (K, 2) observation array, as :func:`sample_outcome`
+    returns it: row k is read when ``p_k > 0``, and must then be finite,
+    and is ignored otherwise.
     """
     K = state.n_arms
     p = profile.p
@@ -402,3 +526,24 @@ def observe(state: PolicyState, profile: PowerProfile, x) -> PolicyState:
             _fold_arm(state, k, p.item(k), x.item(k, 0), x.item(k, 1))
     state.round += 1
     return state
+
+
+def sample_outcome(instance: BanditInstance, profile: PowerProfile,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw one round of observations under ``profile``, shape (K, 2).
+
+    Row k of an arm with power ``p_k > 0`` is
+    ``mu_k + sqrt(sigma_k^2/(2 p_k)) * g`` with ``g`` standard 2-d normal;
+    the row of an arm with zero power is NaN.  Takes one round of
+    :func:`_normals` for the powered arms alone from ``rng``.
+    """
+    p = profile.p
+    K = instance.n_arms
+    if p.shape[0] != K:
+        raise DimensionMismatch(
+            f"profile has {p.shape[0]} entries for {K} arms")
+    active = p > 0.0
+    x = np.full((K, DIM), np.nan)
+    x[active] = _draw(instance.means[active], instance.variances[active],
+                      p[active], _normals(rng, int(active.sum()), 1)[0])
+    return x

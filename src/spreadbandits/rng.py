@@ -6,12 +6,12 @@ serially, in any order, or across worker processes produces bit-identical
 traces.  Raising the replication count leaves earlier replications
 untouched.
 
-A simulation round takes a fixed amount from each stream, so the runner
-reads a stream through a :class:`BlockReader`: one call fills many rounds
-of draws, and the reader hands them out a round at a time.  numpy fills an
-array element by element from the bit generator, so the block holds the
-values that one draw per round would give, in the same order, whatever the
-block size.
+A simulation round takes a fixed amount from each stream, so the round
+engine reads a stream through a :class:`BlockReader`: one call fills many
+rounds of draws, and the reader hands them out a round at a time.  numpy
+fills an array element by element from the bit generator, so the block
+holds the values that one draw per round would give, in the same order,
+whatever the block size.
 """
 
 import numpy as np

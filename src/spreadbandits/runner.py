@@ -1,20 +1,13 @@
 """Simulation runner: replications in, deterministic trace files out.
 
-Each (policy, replication) pair is an independent task driven by two random
-streams keyed on ``(seed, policy id, replication, purpose)`` - one for
-outcome noise, one for policy-internal draws - so results do not depend on
-execution order or worker count, and raising ``replications`` appends new
-traces without disturbing existing ones.  A task reads each stream through
-a :class:`spreadbandits.rng.BlockReader`, which draws a block of rounds in
-one call; a round's draws are the same whatever the block size, so the
-trace is too.
-
-The round loop keeps numpy calls on K-vectors, whose fixed cost outweighs
-their arithmetic, out of the rounds where it can: the Thompson baselines
-choose their arm in Python floats (:func:`spreadbandits.policies._ts_arm`),
-a one-hot play draws and folds its one arm in floats, and a dense play
-that is the same array as the round before (``uniform``, the warm-up of
-``wts``) reuses that round's regret step and noise scale.
+Each (policy, replication) pair is an independent task, one replication of
+the round engine (:func:`spreadbandits.policies._replicate`), driven by two
+random streams keyed on ``(seed, policy id, replication, purpose)`` - one
+for outcome noise, one for policy-internal draws - so results do not depend
+on execution order or worker count, and raising ``replications`` appends
+new traces without disturbing existing ones.  A stream is read in blocks
+of rounds, and a round's draws are the same whatever the block size, so
+the trace is too.
 
 ``run`` writes ``<out>.csv`` with header
 
@@ -22,10 +15,12 @@ that is the same array as the round before (``uniform``, the warm-up of
 
 (the two extra columns in gain mode), rows sorted by (policy, replication,
 t), floats at 17 significant digits, plus a ``<out>.json`` sidecar carrying
-the config echo, the instance's bound constants, and a per-policy horizon
-summary.  Each file is written to a temporary file in the same directory
-and moved into place, so an interrupted run leaves the previous file or
-none, never a partial one.
+the config echo, the instance's bound constants, a per-policy horizon
+summary and ``csv_sha256``, the sha256 of the CSV bytes the run wrote.
+Each file is written to a temporary file in the same directory and moved
+into place, so an interrupted run leaves the previous file or none, never
+a partial one; a run that fails between the two files leaves a CSV whose
+hash is not the sidecar's.
 
 ``RunReport.outputs[i]`` is a :class:`ReplicationOut` that carries its
 recorded rounds as columns, one array each: ``t``, ``regret_step``,
@@ -33,6 +28,7 @@ recorded rounds as columns, one array each: ``t``, ``regret_step``,
 are the one in-memory form of a trace; the CSV is written from them.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -43,25 +39,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import rng as rng_streams
-# regret_step, sample_outcome, observe and policy_step are the validated
-# per-round API; the round loop does not call them, but they stay runner
+# regret_step, gain_estimate, sample_outcome, observe and policy_step are
+# not called here: the round engine runs without them, but they stay runner
 # attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
 from .config import RunConfig, build_instance
-from .core import _count, _draw_arm, _noise_scale, _shift, sample_outcome
-from .errors import BanditError, InvalidParams, ValidationError
-from .policies import (
-    KIND_IDS,
-    _choose,
-    _env_fill,
-    _fold_arm,
-    _fold_powers,
-    _policy_fill,
-    make_policy,
-    observe,
-    policy_step,
-)
+from .core import _count
+from .errors import InvalidParams, ValidationError
+from .policies import _replicate, observe, policy_step, sample_outcome
 from .sysid import gain_estimate
 
 
@@ -106,84 +91,10 @@ class RunReport:
 
 def run_replication(cfg: RunConfig, kind: str, replication: int
                     ) -> ReplicationOut:
-    """Run one policy for one replication of T rounds.
-
-    Records every ``thin``-th round plus round T; snapshots per-arm
-    cumulative power at rounds T//10 and T.  The rounds run on the policy
-    engine's arrays: a dense play (``wts``, ``uniform``) updates all arms
-    with whole-array operations, a one-hot play updates its one arm in
-    Python floats, and no profile or outcome object is built per round.
-    A dense play that is the same array as the round before (``_choose``
-    hands out one read-only flat profile per K) reuses that round's regret
-    step and noise scale.  Each stream is read in blocks of rounds; what is
-    left of the last blocks after round T is dropped with the task's
-    generators.
-    """
-    instance = build_instance(cfg)
-    rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
-                                 rng_streams.ENV)
-    rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
-                                 rng_streams.POLICY)
-    K = instance.n_arms
-    state = make_policy(kind, instance, cfg.mc_samples)
-    env_noise = rng_streams.BlockReader(rng_env, *_env_fill(kind, K)).next
-    fill = _policy_fill(kind, K, state.mc_samples)
-    policy_noise = (None if fill is None else
-                    rng_streams.BlockReader(rng_pol, *fill).next)
-    T = cfg.T
-    thin = cfg.thin
-    snap_at = {max(1, T // 10), T}
-    gain_mode = cfg.mode == "gain"
-    means, variances, gaps = instance.means, instance.variances, instance.gaps
-    # a one-hot play reads its arm's constants as Python floats;
-    # gaps[k] is bit-equal to gaps @ one_hot(k)
-    mean_x, mean_y = means[:, 0].tolist(), means[:, 1].tolist()
-    var, gap = variances.tolist(), gaps.tolist()
-
-    ts, steps, cums, betas, k_hats = [], [], [], [], []
-    snaps = {}
-    cum = 0.0
-    # the last dense play, its regret step and its noise scale
-    dense = dense_step = scale = None
-    for t in range(1, T + 1):
-        try:
-            play = _choose(state, policy_noise)
-            if type(play) is int:
-                step = gap[play]
-                x0, x1 = _draw_arm(mean_x[play], mean_y[play], var[play],
-                                   env_noise())
-                _fold_arm(state, play, 1.0, x0, x1)
-            else:
-                if play is not dense:
-                    dense = play
-                    dense_step = float(gaps @ play)
-                    scale = _noise_scale(variances, play)
-                step = dense_step
-                _fold_powers(state, play, _shift(means, scale, env_noise()))
-            state.round += 1
-            cum += step
-            if t % thin == 0 or t == T:
-                ts.append(t)
-                steps.append(step)
-                cums.append(cum)
-                if gain_mode:
-                    est = gain_estimate(state.z, state.mean)
-                    betas.append(est.beta_hat)
-                    k_hats.append(est.k_hat)
-        except BanditError as exc:
-            raise type(exc)(f"policy={kind} replication={replication} "
-                            f"round={t}: {exc}") from exc
-        if t in snap_at:
-            snaps[t] = state.z.copy()
-    gain_cols = {}
-    if gain_mode:
-        gain_cols = {"beta_hat": np.array(betas, dtype=np.float64),
-                     "k_hat": np.array(k_hats, dtype=np.int64)}
-    return ReplicationOut(kind, replication,
-                          np.array(ts, dtype=np.int64),
-                          np.array(steps, dtype=np.float64),
-                          np.array(cums, dtype=np.float64),
-                          cum, snaps, **gain_cols)
+    """Run one policy for one replication of T rounds on the round engine,
+    :func:`spreadbandits.policies._replicate`."""
+    *cols, gain_cols = _replicate(cfg, build_instance(cfg), kind, replication)
+    return ReplicationOut(kind, replication, *cols, **gain_cols)
 
 
 def _task(args) -> ReplicationOut:
@@ -209,8 +120,9 @@ def _replacing(path: str):
             os.unlink(tmp)
 
 
-def _write_csv(path: str, outputs, gain_mode: bool) -> None:
-    """Write the trace of ``outputs``, one block of rows per task, in order.
+def _write_csv(path: str, outputs, gain_mode: bool) -> str:
+    """Write the trace of ``outputs``, one block of rows per task, in order,
+    and return the sha256 of the bytes written.
 
     Each block comes from one ``%`` template with the task's policy and
     replication in it; ``%.17g`` runs the same routine as
@@ -221,12 +133,17 @@ def _write_csv(path: str, outputs, gain_mode: bool) -> None:
     if gain_mode:
         header += ",beta_hat,k_hat"
         fields += ",%.17g,%d"
+    digest = hashlib.sha256()
     with _replacing(path) as fh:
-        fh.write(header + "\n")
+        def write(text):
+            fh.write(text)
+            digest.update(text.encode())
+        write(header + "\n")
         for out in outputs:
             fmt = f"{out.policy},{out.replication}{fields}\n"
             cols = (c.tolist() for c in out.columns())
-            fh.write("".join(map(fmt.__mod__, zip(*cols))))
+            write("".join(map(fmt.__mod__, zip(*cols))))
+    return digest.hexdigest()
 
 
 def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
@@ -267,7 +184,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         os.makedirs(out_dir, exist_ok=True)
     csv_path = cfg.out + ".csv"
     json_path = cfg.out + ".json"
-    _write_csv(csv_path, outputs, cfg.mode == "gain")
+    csv_sha256 = _write_csv(csv_path, outputs, cfg.mode == "gain")
 
     consts = lower_bound_constants(build_instance(cfg))
     elapsed = time.perf_counter() - t0
@@ -275,6 +192,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         "config": cfg.to_dict(),
         "bound_constants": asdict(consts),
         "horizon_summary": summary,
+        "csv_sha256": csv_sha256,
         "started_at": started.isoformat(),
         "elapsed_s": elapsed,
     }

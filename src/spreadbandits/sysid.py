@@ -19,7 +19,7 @@ estimate reads off the arm with the most accumulated power:
 
 :func:`grid_from_fir` builds the induced bandit instance from FIR
 coefficient lists; measurements of a grid are observations of that
-instance (:func:`spreadbandits.core.sample_outcome`), whose row for a bin
+instance (:func:`spreadbandits.policies.sample_outcome`), whose row for a bin
 that got no power is NaN: an unexcited bin measures nothing.
 """
 

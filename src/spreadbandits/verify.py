@@ -5,14 +5,15 @@ at a moderate Monte Carlo size and returns ``(passed, observed,
 requirement)``; :func:`run_verification` reports each as a
 :class:`CheckResult` under its name in ``_CHECKS``, and a check that raises
 as failed.  The suite is deterministic given its seed; the acceptance tests
-call the checks on their own seeds.  The checks run the engine that every
-run executes: an observation-law check holds one replication per arm of a
-:class:`PolicyState`, draws with :func:`spreadbandits.core._draw` and folds
-with ``_fold_powers`` (the batch check with ``_fold_arm``), and a policy
-check loops over :func:`run_replication`.  On the two-arm ``_PAIR`` a trace
-holds the whole profile: a round's power on arm 1 is its ``regret_step``
-over the gap 0.5.  The test suite's sensitivity controls corrupt a check
-from outside, by patching what it draws, builds and runs with.
+call the checks on their own seeds.  The checks run the round engine of
+:mod:`spreadbandits.policies` that every run executes: an observation-law
+check holds one replication per arm of a :class:`PolicyState`, draws with
+``_draw`` and folds with ``_fold_powers`` (the batch check with
+``_fold_arm``), and a policy check loops over :func:`run_replication`.  On
+the two-arm ``_PAIR`` a trace holds the whole profile: a round's power on
+arm 1 is its ``regret_step`` over the gap 0.5.  The test suite's
+sensitivity controls corrupt a check from outside, by patching what it
+draws, folds, builds and runs with; each observation-law check has one.
 """
 
 import math
@@ -28,12 +29,7 @@ from .bounds import (
     variance_tail_bound,
 )
 from .config import RunConfig
-from .core import (
-    PowerProfile,
-    _draw,
-    batch_stats,
-    new_instance,
-)
+from .core import PowerProfile, batch_stats, new_instance
 from .errors import TiedOptimum
 from .policies import (
     RHO_FLOOR,
@@ -43,6 +39,7 @@ from .policies import (
     UNIFORM,
     WTS,
     PolicyState,
+    _draw,
     _fold_arm,
     _fold_powers,
 )

@@ -19,6 +19,7 @@ from spreadbandits import (
     run_replication,
     sample_outcome,
 )
+from spreadbandits.config import build_instance
 from spreadbandits.core import batch_stats
 from spreadbandits.policies import PolicyState, _fold_arm, _fold_powers
 from spreadbandits.posterior import _kernel_uniforms, _rho_counts
@@ -44,6 +45,20 @@ def test_engine_matches_scalar_loop(kind, make_cfg, seed):
     cfg = make_cfg(seed)
     assert_matches_reference(run_replication(cfg, kind, 1), cfg,
                              *reference_replication(cfg, kind, 1))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("make_cfg", [simulate_config, gain_config],
+                         ids=["simulate", "gain"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_regret_is_gaps_at_cumulative_power(kind, make_cfg, seed):
+    # a round adds gaps @ p to the regret and p to z, so the regret at T is
+    # the gaps weighted by the power each arm got in all
+    cfg = make_cfg(seed)
+    out = run_replication(cfg, kind, 0)
+    gaps = build_instance(cfg).gaps
+    assert out.final_cum == pytest.approx(gaps @ out.z_snapshots[cfg.T],
+                                          rel=1e-9)
 
 
 @pytest.mark.parametrize("K,M", [(5, 512), (16, 1024)])

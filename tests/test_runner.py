@@ -1,5 +1,6 @@
 """Runner determinism, trace file format, error context, parallel equality."""
 
+import hashlib
 import json
 import pickle
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from spreadbandits import KINDS, RunConfig, run, run_replication
 from spreadbandits.errors import InsufficientData, ValidationError
+from spreadbandits import policies
 from spreadbandits import runner as runner_mod
 
 
@@ -104,7 +106,7 @@ class TestTraceFile:
         rep = run(cfg, quiet=True)
         side = json.loads(Path(rep.json_path).read_text())
         assert set(side) == {"config", "bound_constants", "horizon_summary",
-                             "started_at", "elapsed_s"}
+                             "csv_sha256", "started_at", "elapsed_s"}
         assert set(side["bound_constants"]) == {
             "spreading_known", "spreading_unknown", "ns_known", "ns_unknown"}
         assert side["config"]["T"] == 40
@@ -201,15 +203,15 @@ class TestReplication:
         assert out.t[-1] == 40
 
     def test_error_context(self, tmp_path, monkeypatch):
-        from spreadbandits.policies import _choose
+        real = policies._choose
 
         def boom(state, rng):
             if state.round == 3:
                 raise InsufficientData("stub failure")
-            return _choose(state, rng)
+            return real(state, rng)
 
         cfg = sim_config(tmp_path, policies=("uniform",))
-        monkeypatch.setattr(runner_mod, "_choose", boom)
+        monkeypatch.setattr(policies, "_choose", boom)
         with pytest.raises(InsufficientData) as exc:
             run_replication(cfg, "uniform", 0)
         msg = str(exc.value)
@@ -320,9 +322,11 @@ class TestCsvWriter:
 
     def test_failed_sidecar_leaves_old_file(self, tmp_path, monkeypatch):
         cfg = sim_config(tmp_path, replications=1)
-        sidecar = tmp_path / "t.json"
+        sidecar, trace = tmp_path / "t.json", tmp_path / "t.csv"
         run(cfg, quiet=True)
         before = sidecar.read_bytes()
+        stale = json.loads(before)["csv_sha256"]
+        assert stale == hashlib.sha256(trace.read_bytes()).hexdigest()
 
         def boom(obj, fh, **kw):
             fh.write('{"config": ')
@@ -330,10 +334,12 @@ class TestCsvWriter:
 
         monkeypatch.setattr(runner_mod.json, "dump", boom)
         with pytest.raises(OSError):
-            run(cfg, quiet=True)
+            run(cfg.replaced(seed=1), quiet=True)
         assert sidecar.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv",
                                                               "t.json"]
+        # the new trace went in place; its hash tells it from the sidecar's
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() != stale
 
 
 class TestColumns:

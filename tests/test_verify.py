@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spreadbandits import policies, runner, verify
+from spreadbandits import policies, verify
 from spreadbandits import rng as rng_streams
 from spreadbandits.cli import main
 from spreadbandits.errors import InsufficientData, TiedOptimum
@@ -11,7 +11,6 @@ from spreadbandits.verify import (
     CheckResult,
     all_passed,
     check_bound_ordering,
-    check_chi2_law,
     check_rotation_invariance,
     run_verification,
 )
@@ -38,14 +37,51 @@ def test_check_count_and_fields(results):
         assert isinstance(r.passed, bool)
 
 
+def double_variance(draw):
+    return lambda means, variances, p, noise: draw(means, 2.0 * variances,
+                                                   p, noise)
+
+
+def shift_mean(draw):
+    return lambda means, variances, p, noise: draw(means + 0.02, variances,
+                                                   p, noise)
+
+
+def variance_by_noise_sign(draw):
+    # the noise's sign picks the variance, so xbar and S are dependent
+    return lambda means, variances, p, noise: draw(
+        means, np.where(noise[:, 0] > 0.0, 4.0 * variances, variances), p,
+        noise)
+
+
+def inflate_low_power_folds(fold):
+    def corrupted(state, k, p, x0, x1):
+        fold(state, k, p, x0, x1)
+        if p <= 0.5:
+            state.z[k] += 1e-6
+    return corrupted
+
+
+# each observation-law check, the engine function its control patches in
+# verify, and how; the first is the control of the scatter law
+CORRUPTIONS = (
+    (verify.check_chi2_law, "_draw", double_variance),
+    (verify.check_mean_law, "_draw", shift_mean),
+    (verify.check_exceedance, "_draw", double_variance),
+    (verify.check_scatter_tail_bound, "_draw", double_variance),
+    (verify.check_independence, "_draw", variance_by_noise_sign),
+    (verify.check_batch_equivalence, "_fold_arm", inflate_low_power_folds),
+)
+
+
 def test_suite_detects_corrupted_variance_law(monkeypatch):
-    # sanity check of the harness itself: doubling the simulated variance
-    # must break exactly the scatter distribution law
-    assert check_chi2_law(np.random.default_rng(0))[0]
-    real = verify._draw
-    monkeypatch.setattr(verify, "_draw", lambda means, variances, p, noise:
-                        real(means, 2.0 * variances, p, noise))
-    assert not check_chi2_law(np.random.default_rng(0))[0]
+    # sanity check of the harness itself: each check passes on the engine
+    # and fails once the engine's draw or fold is corrupted
+    for check, name, corrupt in CORRUPTIONS:
+        assert check(np.random.default_rng(0))[0], check.__name__
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, corrupt(getattr(verify, name)))
+            assert not check(np.random.default_rng(0))[0], check.__name__
 
 
 @pytest.mark.parametrize("seed", [8, 10, 11, 12])
@@ -132,8 +168,8 @@ def test_wts_checks_detect_missing_floor(monkeypatch):
 
 def test_one_hot_check_detects_spread_baselines(monkeypatch):
     # the round loop plays the uniform vector for both TS baselines
-    real = runner._choose
-    monkeypatch.setattr(runner, "_choose", lambda state, noise: (
+    real = policies._choose
+    monkeypatch.setattr(policies, "_choose", lambda state, noise: (
         np.full(2, 0.5) if state.kind in ("ts_known", "ts_unknown")
         else real(state, noise)))
     assert failing_among(monkeypatch, "one-hot-baselines") == (
