@@ -17,7 +17,6 @@ import numpy as np
 from spreadbandits import (
     RunConfig,
     lower_bound_constants,
-    new_instance,
     run_replication,
 )
 
@@ -27,20 +26,19 @@ T = 2000
 REPS = 5
 CHECKPOINTS = (200, 1000, 2000)
 
-instance = new_instance(MEANS, VARIANCES)
-consts = lower_bound_constants(instance)
-print(f"instance: K = {instance.n_arms}, best arm {instance.k_star} "
-      f"(norm {instance.norms[instance.k_star]:.2f}), "
-      f"gaps {np.round(instance.gaps, 2)}")
-print(f"benchmark constants: spreading {consts.spreading_unknown:.3f}, "
-      f"non-spreading unknown-variance {consts.ns_unknown:.3f}\n")
-
 cfg = RunConfig(mode="simulate", T=T, replications=REPS, seed=0,
                 policies=("wts", "ts_known", "ts_unknown", "oracle",
                           "uniform"),
                 mc_samples=512, thin=1,
                 means=np.asarray(MEANS, dtype=float),
                 variances=np.asarray(VARIANCES, dtype=float))
+instance = cfg.instance
+consts = lower_bound_constants(instance)
+print(f"instance: K = {instance.n_arms}, best arm {instance.k_star} "
+      f"(norm {instance.norms[instance.k_star]:.2f}), "
+      f"gaps {np.round(instance.gaps, 2)}")
+print(f"benchmark constants: spreading {consts.spreading_unknown:.3f}, "
+      f"non-spreading unknown-variance {consts.ns_unknown:.3f}\n")
 
 header = "policy        " + "".join(f"  regret({t:>4d})" for t in CHECKPOINTS)
 print(header)

@@ -33,6 +33,7 @@ from .policies import (
     make_policy,
     observe,
     policy_step,
+    run_replication,
     sample_outcome,
 )
 from .bounds import (
@@ -55,7 +56,7 @@ from .sysid import (
     synth_multisine,
 )
 from .config import RunConfig, load_config, parse_config
-from .runner import RunReport, run, run_replication
+from .runner import RunReport, run
 from .verify import CheckResult, all_passed, run_verification
 from .rng import stream
 from . import errors

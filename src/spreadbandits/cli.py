@@ -34,7 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="PATH",
                        help="override the output path prefix")
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes for replications (default 1)")
+                       help="at most N worker processes for the "
+                       "replications, and no more than the usable CPUs "
+                       "(default 1)")
     v = sub.add_parser("verify", help="run the statistical self-check suite")
     v.add_argument("--config", default=None, metavar="PATH",
                    help="optional config (mode = verify) supplying the seed")

@@ -22,10 +22,11 @@ Unknown sections or keys are errors, never ignored.  ``mode`` selects
 is a path prefix: the runner writes ``<out>.csv`` and ``<out>.json``.
 
 A :class:`RunConfig` is valid by construction: its ``__post_init__`` checks
-every run rule, so a config built in Python, or changed with
-:meth:`RunConfig.replaced`, meets the same rules as one read from a file.
-:func:`parse_config` turns the text into typed fields and checks that
-the instance or problem they describe can be built.
+every run rule and builds the bandit instance of a simulate or gain run,
+once, so a config built in Python, or changed with
+:meth:`RunConfig.replaced`, meets the same rules as one read from a file,
+and a run reads its instance off ``cfg.instance``.  :func:`parse_config`
+turns the text into typed fields.
 """
 
 import ast
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import _count, new_instance
-from .errors import BanditError, InvalidParams, ParseError, ValidationError
+from .errors import InvalidParams, ParseError, ValidationError
 from .policies import KINDS, MC_SAMPLES
 from .sysid import grid_from_fir
 
@@ -61,7 +62,11 @@ class RunConfig:
     ``means`` and ``variances`` come from the ``[instance]`` section,
     ``g_coeffs``, ``h_coeffs`` and ``K`` from ``[gain]``, the rest from
     ``[run]``.  ``__post_init__`` raises :class:`ValidationError`, naming
-    the field, on any rule a config file must meet.
+    the field, on any rule a config file must meet, and builds the
+    :class:`spreadbandits.core.BanditInstance` the fields describe as the
+    attribute ``instance`` (None in verify mode), read-only like every
+    field.  It is not a field, so :meth:`replaced` builds it anew and
+    :meth:`to_dict` does not echo it.
     """
 
     mode: str
@@ -113,6 +118,17 @@ class RunConfig:
             if section != used and getattr(self, f.name) is not None:
                 raise ValidationError(f"{f.name}: not used in {self.mode} "
                                       f"mode")
+        instance = None
+        try:
+            if self.mode == "simulate":
+                instance = new_instance(self.means, self.variances)
+            elif self.mode == "gain":
+                instance = grid_from_fir(self.g_coeffs, self.h_coeffs,
+                                         self.K).instance
+        except (TypeError, ValueError) as e:  # a BanditError is a ValueError
+            raise ValidationError(
+                f"config does not define a valid problem: {e}") from None
+        object.__setattr__(self, "instance", instance)
 
     def replaced(self, **kw) -> "RunConfig":
         """A copy with the fields in ``kw`` changed, checked like any
@@ -132,13 +148,6 @@ class RunConfig:
                 val = list(val)
             d[f.name] = val
         return d
-
-
-def build_instance(cfg: RunConfig):
-    """The bandit instance of a simulate or gain config."""
-    if cfg.mode == "gain":
-        return grid_from_fir(cfg.g_coeffs, cfg.h_coeffs, cfg.K).instance
-    return new_instance(cfg.means, cfg.variances)
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -168,7 +177,7 @@ def parse_config(text: str) -> RunConfig:
 
     Raises :class:`ParseError` on malformed syntax (the message carries the
     offending line) and :class:`ValidationError` on unknown or out-of-range
-    fields, always naming the field.
+    fields, always naming the field, and on a problem that cannot be built.
     """
     cp = configparser.ConfigParser(delimiters=("=",),
                                    comment_prefixes=("#", ";"),
@@ -215,14 +224,7 @@ def parse_config(text: str) -> RunConfig:
                                 if n.strip())
             else:
                 kw[key] = raw.strip()
-    cfg = RunConfig(**kw)
-    if MODE_SECTION[cfg.mode] is not None:
-        try:
-            build_instance(cfg)
-        except BanditError as e:
-            raise ValidationError(
-                f"config does not define a valid problem: {e}") from None
-    return cfg
+    return RunConfig(**kw)
 
 
 def load_config(path: str) -> RunConfig:

@@ -70,9 +70,9 @@ class BanditInstance:
     Attributes
     ----------
     means : ndarray, shape (K, 2)
-        Arm mean vectors.
+        Arm mean vectors, a read-only float64 copy.
     variances : ndarray, shape (K,)
-        Per-arm noise variances, strictly positive.
+        Per-arm noise variances, strictly positive, a read-only copy.
     norms : ndarray, shape (K,)
         Euclidean norms of the means.
     k_star : int
@@ -88,8 +88,10 @@ class BanditInstance:
     gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
+        # read-only copies: a caller's later write cannot leave the derived
+        # k_star and gaps stale
+        means = np.array(self.means, dtype=np.float64)
+        variances = np.array(self.variances, dtype=np.float64)
         if means.ndim != 2 or means.shape[1] != DIM:
             raise DimensionMismatch(
                 f"means must be a K x {DIM} array, got shape {means.shape}")
@@ -113,6 +115,8 @@ class BanditInstance:
                 f"largest mean norms tie within {NORM_TIE_TOL}: "
                 f"arms {order[-1]} and {order[-2]}")
         k_star = int(np.argmax(norms))
+        means.setflags(write=False)
+        variances.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "norms", norms)

@@ -21,19 +21,21 @@ the weighted statistics of all arms in arrays (``z`` and ``S`` of shape
 A round is :func:`_choose` (a power vector for ``wts`` and ``uniform``, an
 arm index for the one-hot kinds), the draw of its observations
 (:func:`_draw`), the fold (:func:`_fold_powers` or :func:`_fold_arm`) and
-its regret ``gaps @ p``; :func:`_replicate` plays the rounds of one
-replication.  On K-vectors numpy's fixed cost per call, about a
-microsecond, outweighs the arithmetic, so the loop keeps such calls out of
-the rounds where it can: the Thompson baselines choose their arm in Python
-floats (:func:`_ts_arm`), a one-hot play draws and folds its one arm in
-floats (:func:`_draw_arm`, :func:`_fold_arm`), and ``uniform`` and the
-warm-up of ``wts`` play one read-only flat profile per K (:func:`_flat`),
-whose regret step and noise scale the loop keeps while it repeats.  The
-public :func:`policy_step`, :func:`sample_outcome` and :func:`observe` run
-the same functions one round at a time, validated: the play as a
-:class:`PowerProfile`, and the observations as one (K, 2) array whose row
-for an arm with zero power is NaN, checked once on the way in.  A state is
-owned by exactly one simulation run.
+its regret ``gaps @ p``; :func:`run_replication` plays the rounds of one
+replication of a :class:`spreadbandits.RunConfig` on the instance the
+config built, and returns the :class:`ReplicationOut` it fills.  On
+K-vectors numpy's fixed cost per call, about a microsecond, outweighs the
+arithmetic, so the loop keeps such calls out of the rounds where it can:
+the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`),
+a one-hot play draws and folds its one arm in floats (:func:`_draw_arm`,
+:func:`_fold_arm`), and ``uniform`` and the warm-up of ``wts`` play one
+read-only flat profile per K (:func:`_flat`), whose regret step and noise
+scale the loop keeps while it repeats.  The public :func:`policy_step`,
+:func:`sample_outcome` and :func:`observe` run the same functions one round
+at a time, validated: the play as a :class:`PowerProfile`, and the
+observations as one (K, 2) array whose row for an arm with zero power is
+NaN, checked once on the way in.  A state is owned by exactly one
+simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
@@ -41,14 +43,15 @@ rounds in one call, with the part of each draw that does not depend on the
 state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
 radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``).
 :func:`_choose` takes the round's draws from a callable, which it calls
-only in a round that draws: :func:`_replicate` passes a block reader of
-:mod:`spreadbandits.rng`, and :func:`policy_step` a call of the fill for
-one round, so the public API takes from its generator exactly what one
-round takes.
+only in a round that draws: :func:`run_replication` passes the
+``__next__`` of a :func:`spreadbandits.rng.in_blocks` generator, and
+:func:`policy_step` a call of the fill for one round, so the public API
+takes from its generator exactly what one round takes.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,14 +180,6 @@ def make_policy(kind: str, instance: BanditInstance,
 # ---------------------------------------------------------------------------
 # the observation model: draws of the arms' outcomes
 
-def _normals(rng: np.random.Generator, rows: int,
-             rounds: int) -> np.ndarray:
-    """``rounds`` rounds of ``rng.normal(size=(rows, 2))``, shape
-    (rounds, rows, 2): the outcome noise of ``rows`` powered arms, and the
-    known-variance Thompson baseline's posterior draws."""
-    return rng.normal(size=(rounds, rows, DIM))
-
-
 def _noise_scale(variances, p) -> np.ndarray:
     """The (K, 1) noise scale ``sqrt(variances / (2 p))`` of arms with
     powers ``p > 0``: the half of :func:`_draw` that depends on the play
@@ -192,21 +187,15 @@ def _noise_scale(variances, p) -> np.ndarray:
     return np.sqrt(variances / (2.0 * p))[:, None]
 
 
-def _shift(means, scale: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """``means + scale * noise``: the half of :func:`_draw` that takes the
-    round's noise, with ``scale`` from :func:`_noise_scale`."""
-    return means + scale * noise
-
-
 def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
     """Observations of arms with powers ``p > 0``, one row per arm.
 
     Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * noise[k]``, with
-    ``noise`` one round of :func:`_normals`.  Unvalidated: the core of
-    :func:`sample_outcome`; the round engine's dense path runs its two
-    halves, :func:`_noise_scale` and :func:`_shift`, on their own.
+    ``noise`` a standard normal (rows, 2) array.  Unvalidated: the core of
+    :func:`sample_outcome`; the round engine's dense path keeps the
+    :func:`_noise_scale` of a repeated play and adds its noise itself.
     """
-    return _shift(means, _noise_scale(variances, p), noise)
+    return means + _noise_scale(variances, p) * noise
 
 
 def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
@@ -239,8 +228,8 @@ def _policy_fill(kind: str, K: int, M: int | None):
         return ((lambda rng, rounds: _kernel_uniforms(rng, K, M, rounds)),
                 8 * K * M)
     if kind == TS_KNOWN:
-        return ((lambda rng, rounds: _normals(rng, K, rounds).tolist()),
-                16 * K)
+        return ((lambda rng, rounds:
+                 rng.normal(size=(rounds, K, DIM)).tolist()), 16 * K)
     if kind == TS_UNKNOWN:
         return (lambda rng, rounds: _ts_unknown_fill(rng, K, rounds)), 16 * K
     return None
@@ -250,12 +239,12 @@ def _env_fill(kind: str, K: int):
     """``(fill, round_bytes)`` of the outcome noise of a kind's rounds.
 
     ``wts`` and ``uniform`` power every arm, so a round draws a (K, 2)
-    array of :func:`_normals`; the one-hot kinds power one arm, whose
-    noise pair the fill gives as a list of two Python floats.
+    standard normal array; the one-hot kinds power one arm, whose noise
+    pair the fill gives as a list of two Python floats.
     """
     if kind in (WTS, UNIFORM):
-        return (lambda rng, rounds: _normals(rng, K, rounds)), 16 * K
-    return (lambda rng, rounds: _normals(rng, 1, rounds)[:, 0].tolist()), 16
+        return (lambda rng, rounds: rng.normal(size=(rounds, K, DIM))), 16 * K
+    return (lambda rng, rounds: rng.normal(size=(rounds, DIM)).tolist()), 16
 
 
 def _ts_unknown_fill(rng: np.random.Generator, K: int, rounds: int) -> list:
@@ -403,30 +392,60 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
     state.z[k] = z1
 
 
-def _replicate(cfg, instance: BanditInstance, kind: str,
-               replication: int) -> tuple:
-    """Play ``kind`` for one replication of ``cfg.T`` rounds on the
-    ``instance`` that the :class:`spreadbandits.RunConfig` ``cfg`` builds.
+@dataclass(frozen=True, eq=False)
+class ReplicationOut:
+    """Everything one replication reports back.
 
-    Returns ``(t, regret_step, regret_cum, final_cum, z_snapshots,
-    gain_cols)``: the columns of every ``thin``-th round and round T, the
-    regret at T, per-arm cumulative power at rounds T//10 and T, and in gain
-    mode the ``beta_hat`` and ``k_hat`` columns by name (else ``{}``).  No
-    profile or outcome object is built per round.  Each stream is read in
-    blocks of rounds; what is left of the last blocks after round T is
-    dropped with the task's generators.  A :class:`BanditError` of a round
-    is raised again with its policy, replication and round in the message.
+    The recorded rounds are columns with one entry per recorded round:
+    ``t`` and ``k_hat`` are int64, ``regret_step``, ``regret_cum`` and
+    ``beta_hat`` float64.  ``beta_hat`` and ``k_hat`` are ``None`` in
+    simulate mode.
     """
+
+    policy: str
+    replication: int
+    t: np.ndarray
+    regret_step: np.ndarray
+    regret_cum: np.ndarray
+    final_cum: float
+    z_snapshots: dict  # round -> per-arm cumulative power
+    beta_hat: np.ndarray | None = None
+    k_hat: np.ndarray | None = None
+
+    def columns(self) -> list:
+        """The recorded columns in CSV order, after policy and replication."""
+        cols = [self.t, self.regret_step, self.regret_cum]
+        if self.beta_hat is not None:
+            cols += [self.beta_hat, self.k_hat]
+        return cols
+
+
+def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
+    """Play ``kind`` for one replication of ``cfg.T`` rounds on the
+    instance of the simulate or gain :class:`spreadbandits.RunConfig`
+    ``cfg``.
+
+    Records every ``thin``-th round and round T, the regret at T, per-arm
+    cumulative power at rounds T//10 and T and, in gain mode, the
+    ``beta_hat`` and ``k_hat`` of each recorded round.  No profile or
+    outcome object is built per round.  Each stream is read in blocks of
+    rounds; what is left of the last blocks after round T is dropped with
+    the task's generators.  A :class:`BanditError` of a round is raised
+    again with its policy, replication and round in the message.
+    """
+    instance = cfg.instance
+    if instance is None:
+        raise ValidationError(f"no instance to play in {cfg.mode} mode")
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.POLICY)
     K = instance.n_arms
     state = make_policy(kind, instance, cfg.mc_samples)
-    env_noise = rng_streams.BlockReader(rng_env, *_env_fill(kind, K)).next
+    env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K)).__next__
     fill = _policy_fill(kind, K, state.mc_samples)
     policy_noise = (None if fill is None else
-                    rng_streams.BlockReader(rng_pol, *fill).next)
+                    rng_streams.in_blocks(rng_pol, *fill).__next__)
     T = cfg.T
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
@@ -456,7 +475,7 @@ def _replicate(cfg, instance: BanditInstance, kind: str,
                     dense_step = float(gaps @ play)
                     scale = _noise_scale(variances, play)
                 step = dense_step
-                _fold_powers(state, play, _shift(means, scale, env_noise()))
+                _fold_powers(state, play, means + scale * env_noise())
             state.round += 1
             cum += step
             if t % thin == 0 or t == T:
@@ -472,14 +491,12 @@ def _replicate(cfg, instance: BanditInstance, kind: str,
                             f"round={t}: {exc}") from exc
         if t in snap_at:
             snaps[t] = state.z.copy()
-    gain_cols = {}
-    if gain_mode:
-        gain_cols = {"beta_hat": np.array(betas, dtype=np.float64),
-                     "k_hat": np.array(k_hats, dtype=np.int64)}
-    return (np.array(ts, dtype=np.int64),
-            np.array(steps, dtype=np.float64),
-            np.array(cums, dtype=np.float64),
-            cum, snaps, gain_cols)
+    return ReplicationOut(
+        kind, replication, np.array(ts, dtype=np.int64),
+        np.array(steps, dtype=np.float64), np.array(cums, dtype=np.float64),
+        cum, snaps,
+        np.array(betas, dtype=np.float64) if gain_mode else None,
+        np.array(k_hats, dtype=np.int64) if gain_mode else None)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +551,8 @@ def sample_outcome(instance: BanditInstance, profile: PowerProfile,
 
     Row k of an arm with power ``p_k > 0`` is
     ``mu_k + sqrt(sigma_k^2/(2 p_k)) * g`` with ``g`` standard 2-d normal;
-    the row of an arm with zero power is NaN.  Takes one round of
-    :func:`_normals` for the powered arms alone from ``rng``.
+    the row of an arm with zero power is NaN.  Takes one standard normal
+    2-vector per powered arm, in arm order, from ``rng``.
     """
     p = profile.p
     K = instance.n_arms
@@ -545,5 +562,5 @@ def sample_outcome(instance: BanditInstance, profile: PowerProfile,
     active = p > 0.0
     x = np.full((K, DIM), np.nan)
     x[active] = _draw(instance.means[active], instance.variances[active],
-                      p[active], _normals(rng, int(active.sum()), 1)[0])
+                      p[active], rng.normal(size=(int(active.sum()), DIM)))
     return x

@@ -7,8 +7,8 @@ traces.  Raising the replication count leaves earlier replications
 untouched.
 
 A simulation round takes a fixed amount from each stream, so the round
-engine reads a stream through a :class:`BlockReader`: one call fills many
-rounds of draws, and the reader hands them out a round at a time.  numpy
+engine reads a stream through :func:`in_blocks`: one call fills many
+rounds of draws, and the generator yields them a round at a time.  numpy
 fills an array element by element from the bit generator, so the block
 holds the values that one draw per round would give, in the same order,
 whatever the block size.
@@ -35,29 +35,19 @@ def stream(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-class BlockReader:
-    """Hands out a stream's draws a round at a time, filled in blocks.
+def in_blocks(rng: np.random.Generator, fill, round_bytes: int):
+    """Yield a stream's draws a round at a time, filled in blocks.
 
     ``fill(rng, rounds)`` draws ``rounds`` rounds from ``rng`` and returns
     them indexed by round; a round takes ``round_bytes`` bytes, so a block
-    holds ``max(1, BLOCK_BYTES // round_bytes)`` rounds.  :meth:`next`
-    returns the next round and draws the next block when the last one is
-    used up; draws left in the block when reading stops are never used.
+    holds ``max(1, BLOCK_BYTES // round_bytes)`` rounds.  The first block is
+    drawn by the first ``next``, and each later one when the last is used
+    up; draws left in the block when reading stops are never used.  A used
+    block stays alive until the next fill returns: a block is larger than
+    malloc's mmap threshold, and freeing it before the fill costs the fill
+    fresh pages.
     """
-
-    __slots__ = ("_rng", "_fill", "_rounds", "_block", "_i")
-
-    def __init__(self, rng: np.random.Generator, fill, round_bytes: int):
-        self._rng = rng
-        self._fill = fill
-        self._rounds = max(1, BLOCK_BYTES // int(round_bytes))
-        self._block = None
-        self._i = self._rounds
-
-    def next(self):
-        i = self._i
-        if i == self._rounds:
-            self._block = self._fill(self._rng, self._rounds)
-            i = 0
-        self._i = i + 1
-        return self._block[i]
+    rounds = max(1, BLOCK_BYTES // int(round_bytes))
+    while True:
+        block = fill(rng, rounds)
+        yield from block

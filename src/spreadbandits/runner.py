@@ -1,13 +1,13 @@
 """Simulation runner: replications in, deterministic trace files out.
 
-Each (policy, replication) pair is an independent task, one replication of
-the round engine (:func:`spreadbandits.policies._replicate`), driven by two
-random streams keyed on ``(seed, policy id, replication, purpose)`` - one
-for outcome noise, one for policy-internal draws - so results do not depend
-on execution order or worker count, and raising ``replications`` appends
-new traces without disturbing existing ones.  A stream is read in blocks
-of rounds, and a round's draws are the same whatever the block size, so
-the trace is too.
+Each (policy, replication) pair is an independent task, one
+:func:`spreadbandits.policies.run_replication` of the round engine on the
+instance its config built, driven by two random streams keyed on ``(seed,
+policy id, replication, purpose)`` - one for outcome noise, one for
+policy-internal draws - so results do not depend on execution order or
+worker count, and raising ``replications`` appends new traces without
+disturbing existing ones.  A stream is read in blocks of rounds, and a
+round's draws are the same whatever the block size, so the trace is too.
 
 ``run`` writes ``<out>.csv`` with header
 
@@ -22,10 +22,11 @@ into place, so an interrupted run leaves the previous file or none, never
 a partial one; a run that fails between the two files leaves a CSV whose
 hash is not the sidecar's.
 
-``RunReport.outputs[i]`` is a :class:`ReplicationOut` that carries its
-recorded rounds as columns, one array each: ``t``, ``regret_step``,
-``regret_cum`` and, in gain mode, ``beta_hat`` and ``k_hat``.  These columns
-are the one in-memory form of a trace; the CSV is written from them.
+``RunReport.outputs[i]`` is the task's
+:class:`spreadbandits.policies.ReplicationOut`, which carries its recorded
+rounds as columns, one array each: ``t``, ``regret_step``, ``regret_cum``
+and, in gain mode, ``beta_hat`` and ``k_hat``.  These columns are the one
+in-memory form of a trace; the CSV is written from them.
 """
 
 import hashlib
@@ -43,39 +44,17 @@ import numpy as np
 # not called here: the round engine runs without them, but they stay runner
 # attributes because the benchmark's tracer (perfbench/measure.py) wraps them
 from .bounds import lower_bound_constants, regret_step
-from .config import RunConfig, build_instance
+from .config import RunConfig
 from .core import _count
 from .errors import InvalidParams, ValidationError
-from .policies import _replicate, observe, policy_step, sample_outcome
+from .policies import (
+    ReplicationOut,
+    observe,
+    policy_step,
+    run_replication,
+    sample_outcome,
+)
 from .sysid import gain_estimate
-
-
-@dataclass(frozen=True, eq=False)
-class ReplicationOut:
-    """Everything one task reports back.
-
-    The recorded rounds are columns with one entry per recorded round:
-    ``t`` and ``k_hat`` are int64, ``regret_step``, ``regret_cum`` and
-    ``beta_hat`` float64.  ``beta_hat`` and ``k_hat`` are ``None`` in
-    simulate mode.
-    """
-
-    policy: str
-    replication: int
-    t: np.ndarray
-    regret_step: np.ndarray
-    regret_cum: np.ndarray
-    final_cum: float
-    z_snapshots: dict  # round -> per-arm cumulative power
-    beta_hat: np.ndarray | None = None
-    k_hat: np.ndarray | None = None
-
-    def columns(self) -> list:
-        """The recorded columns in CSV order, after policy and replication."""
-        cols = [self.t, self.regret_step, self.regret_cum]
-        if self.beta_hat is not None:
-            cols += [self.beta_hat, self.k_hat]
-        return cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +66,6 @@ class RunReport:
     horizon_summary: dict
     outputs: list = field(repr=False)
     elapsed_s: float = 0.0
-
-
-def run_replication(cfg: RunConfig, kind: str, replication: int
-                    ) -> ReplicationOut:
-    """Run one policy for one replication of T rounds on the round engine,
-    :func:`spreadbandits.policies._replicate`."""
-    *cols, gain_cols = _replicate(cfg, build_instance(cfg), kind, replication)
-    return ReplicationOut(kind, replication, *cols, **gain_cols)
 
 
 def _task(args) -> ReplicationOut:
@@ -149,9 +120,12 @@ def _write_csv(path: str, outputs, gain_mode: bool) -> str:
 def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     """Execute every (policy, replication) task and write the trace files.
 
-    ``cfg`` was checked when it was built (see :class:`RunConfig`), so the
-    rules left here are that it describes a simulate or gain run and that
-    ``workers`` is a count, by the rule of every other count.
+    ``cfg`` was checked, and its instance built, when it was built (see
+    :class:`RunConfig`), so the rules left here are that it describes a
+    simulate or gain run and that ``workers`` is a count, by the rule of
+    every other count.  The tasks run in
+    ``min(workers, tasks, max(2, usable CPUs))`` processes, or in this one
+    when that is 1.
     """
     if cfg.mode not in ("simulate", "gain"):
         raise ValidationError(f"run() handles simulate/gain, not {cfg.mode!r}")
@@ -165,8 +139,11 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     tasks = [(cfg, kind, rep)
              for kind in cfg.policies
              for rep in range(cfg.replications)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    processes = min(workers, len(tasks), max(2, cpus))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             outputs = list(pool.map(_task, tasks, chunksize=1))
     else:
         outputs = [_task(t) for t in tasks]
@@ -186,7 +163,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     json_path = cfg.out + ".json"
     csv_sha256 = _write_csv(csv_path, outputs, cfg.mode == "gain")
 
-    consts = lower_bound_constants(build_instance(cfg))
+    consts = lower_bound_constants(cfg.instance)
     elapsed = time.perf_counter() - t0
     sidecar = {
         "config": cfg.to_dict(),

@@ -16,7 +16,6 @@ import numpy as np
 
 from spreadbandits import KINDS, PowerProfile, RunConfig, regret_step
 from spreadbandits import rng as rng_streams
-from spreadbandits.config import build_instance
 from spreadbandits.policies import (
     KIND_IDS,
     RHO_FLOOR,
@@ -108,7 +107,7 @@ def reference_outcome(instance, profile, rng):
 
 
 def reference_replication(cfg, kind, replication):
-    instance = build_instance(cfg)
+    instance = cfg.instance
     rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,

@@ -1,7 +1,7 @@
 """Block-read streams against the per-round draws they replace.
 
 Each stream fill draws many rounds at once; read back a round at a time
-through :class:`BlockReader`, it must give, for any block size, the rounds
+through :func:`in_blocks`, it must give, for any block size, the rounds
 that one single-round fill per round gives, and leave the generator where
 those fills leave it.  What a single-round fill draws is tied to numpy's
 own per-round draws by ``tests/test_engine.py``: ``_check_kernel`` for the
@@ -39,9 +39,9 @@ def check_fill(monkeypatch, make_fill, block, case="PCG64"):
         fill, nbytes = make_fill(K)
         rng, ref = make_generator(case, K), make_generator(case, K)
         monkeypatch.setattr(rng_streams, "BLOCK_BYTES", block * nbytes)
-        reader = rng_streams.BlockReader(rng, fill, nbytes)
+        reader = rng_streams.in_blocks(rng, fill, nbytes)
         for i in range(3 * block):
-            np.testing.assert_array_equal(reader.next(), fill(ref, 1)[0],
+            np.testing.assert_array_equal(next(reader), fill(ref, 1)[0],
                                           err_msg=f"K={K} round {i}")
         assert_same_state(rng, ref)
 
@@ -81,9 +81,9 @@ def test_block_size_follows_the_byte_budget(monkeypatch):
     for budget, per_block in ((1, 1), (32, 1), (95, 2), (96, 3)):
         calls = []
         monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
-        reader = rng_streams.BlockReader(np.random.default_rng(0), fill, 32)
+        reader = rng_streams.in_blocks(np.random.default_rng(0), fill, 32)
         for _ in range(7):
-            reader.next()
+            next(reader)
         assert calls == [per_block] * -(-7 // per_block)
 
 

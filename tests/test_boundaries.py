@@ -16,7 +16,6 @@ SRC = Path(spreadbandits.__file__).parent
 ALLOWED = {
     ("policies", "posterior"): {"_kernel_uniforms", "_radial_t_d2",
                                 "_radial_t_fill", "_rho_counts"},
-    ("runner", "policies"): {"_replicate"},
     ("verify", "policies"): {"_draw", "_fold_arm", "_fold_powers"},
 }
 

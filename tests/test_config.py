@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spreadbandits import KINDS, run
 from spreadbandits.config import RunConfig, load_config, parse_config
+from spreadbandits.core import BanditInstance
 from spreadbandits.errors import ParseError, ValidationError
 
 SIMULATE = """\
@@ -220,3 +222,66 @@ class TestRoundTrip:
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_shipped_configs_load(self, path):
         assert load_config(str(path)).mode == path.stem
+
+
+# a valid config of each mode, built in Python
+VALID = {
+    "simulate": dict(mode="simulate", T=10, means=[[2.0, 0.0], [1.0, 0.0]],
+                     variances=[1.0, 0.5]),
+    "gain": dict(mode="gain", T=10, g_coeffs=[0.5, 0.5], h_coeffs=[1.0],
+                 K=4),
+}
+# fields that keep every run rule but describe no valid problem
+UNBUILDABLE = {
+    "tied-means": ("simulate", {"means": [[1.0, 0.0], [0.0, 1.0]]}),
+    "zero-variance": ("simulate", {"variances": [1.0, 0.0]}),
+    "means-2x3": ("simulate", {"means": [[2.0, 0.0, 0.0],
+                                         [1.0, 0.0, 0.0]]}),
+    "tied-gain-peak": ("gain", {"g_coeffs": [1.0]}),
+    "means-not-numbers": ("simulate", {"means": [["a", 0.0], [1.0, 0.0]]}),
+}
+
+
+class TestInstance:
+    @pytest.mark.parametrize("mode,bad", UNBUILDABLE.values(),
+                             ids=UNBUILDABLE)
+    def test_unbuildable_problem_refused_when_built(self, mode, bad):
+        with pytest.raises(ValidationError, match="valid problem"):
+            RunConfig(**{**VALID[mode], **bad})
+        with pytest.raises(ValidationError, match="valid problem"):
+            RunConfig(**VALID[mode]).replaced(**bad)
+
+    def test_instance_is_not_a_field(self):
+        for mode, kw in VALID.items():
+            cfg = RunConfig(**kw)
+            assert isinstance(cfg.instance, BanditInstance)
+            assert cfg.replaced(seed=1).instance.k_star == cfg.instance.k_star
+            assert "instance" not in cfg.to_dict()
+            with pytest.raises(AttributeError):
+                cfg.instance = None
+        assert RunConfig(mode="verify").instance is None
+
+    def test_instance_keeps_its_own_arrays(self):
+        # a write to the caller's array cannot leave k_star and gaps stale
+        means = np.array([[2.0, 0.0], [1.0, 0.0]])
+        cfg = RunConfig(**{**VALID["simulate"], "means": means})
+        means[0] = 0.0
+        assert cfg.instance.means.tolist() == [[2.0, 0.0], [1.0, 0.0]]
+        assert not cfg.instance.means.flags.writeable
+
+    def test_run_builds_no_instance(self, tmp_path, monkeypatch):
+        # the config built its instance; the tasks and the sidecar read it
+        cfgs = [RunConfig(**kw, policies=KINDS, replications=2,
+                          out=str(tmp_path / mode))
+                for mode, kw in VALID.items()]
+        built = []
+        real = BanditInstance.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(BanditInstance, "__post_init__", counted)
+        for cfg in cfgs:
+            run(cfg, quiet=True)
+        assert built == []

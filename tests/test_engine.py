@@ -19,7 +19,6 @@ from spreadbandits import (
     run_replication,
     sample_outcome,
 )
-from spreadbandits.config import build_instance
 from spreadbandits.core import batch_stats
 from spreadbandits.policies import PolicyState, _fold_arm, _fold_powers
 from spreadbandits.posterior import _kernel_uniforms, _rho_counts
@@ -56,7 +55,7 @@ def test_regret_is_gaps_at_cumulative_power(kind, make_cfg, seed):
     # the gaps weighted by the power each arm got in all
     cfg = make_cfg(seed)
     out = run_replication(cfg, kind, 0)
-    gaps = build_instance(cfg).gaps
+    gaps = cfg.instance.gaps
     assert out.final_cum == pytest.approx(gaps @ out.z_snapshots[cfg.T],
                                           rel=1e-9)
 

@@ -224,6 +224,8 @@ class TestRunValidation:
     def test_verify_mode_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             run(RunConfig(mode="verify"), quiet=True)
+        with pytest.raises(ValidationError, match="no instance"):
+            run_replication(RunConfig(mode="verify"), "wts", 0)
 
     def test_missing_horizon_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -245,6 +247,34 @@ class TestRunValidation:
         with pytest.raises(ValidationError, match="workers"):
             run(sim_config(tmp_path), workers=workers, quiet=True)
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers,cpus,processes", [
+        (8, 1, 2), (8, 3, 3), (8, 16, 6), (4, 16, 4), (1, 16, None)])
+    def test_processes_capped(self, tmp_path, monkeypatch, workers, cpus,
+                              processes):
+        # workers is an upper bound: no more processes than the 6 tasks or
+        # the usable CPUs, but two whenever workers allows a pool
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(runner_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        run(sim_config(tmp_path, policies=("oracle", "uniform")),
+            workers=workers, quiet=True)
+        assert pools == ([] if processes is None else [processes])
 
     def test_integral_float_workers_accepted(self, tmp_path):
         rep = run(sim_config(tmp_path, policies=("uniform",), replications=2),
@@ -286,7 +316,7 @@ def hand_built_outputs(gain_mode):
                     "k_hat": np.resize(np.array([0, 15, 3, 7],
                                                 dtype=np.int64), vals.shape)}
         t = np.arange(1, len(vals) + 1, dtype=np.int64) * (i + 1)
-        outs.append(runner_mod.ReplicationOut(
+        outs.append(policies.ReplicationOut(
             policy, rep, t, vals, np.cumsum(vals), float(np.sum(vals)), {},
             **gain))
     return outs
@@ -312,7 +342,7 @@ class TestCsvWriter:
         # has gone to the file
         steps = outs[1].regret_step.astype(object)
         steps[3] = "x"
-        bad = runner_mod.ReplicationOut(
+        bad = policies.ReplicationOut(
             "uniform", 0, outs[1].t, steps, outs[1].regret_cum, 0.0, {})
         for target in (path, tmp_path / "fresh.csv"):
             with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 """Self-verification suite: everything passes, and the harness can fail."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spreadbandits import policies, verify
 from spreadbandits import rng as rng_streams
 from spreadbandits.cli import main
 from spreadbandits.errors import InsufficientData, TiedOptimum
+from spreadbandits.posterior import PosteriorParams
 from spreadbandits.verify import (
     CheckResult,
     all_passed,
@@ -62,8 +65,37 @@ def inflate_low_power_folds(fold):
     return corrupted
 
 
-# each observation-law check, the engine function its control patches in
-# verify, and how; the first is the control of the scatter law
+def scaled(factor):
+    return lambda f: lambda *args, **kw: factor * f(*args, **kw)
+
+
+def tail_ignoring_scatter(tail):
+    return lambda params, delta: tail(
+        PosteriorParams(params.z, params.xbar, 1.0, params.t), delta)
+
+
+def wider_radius(sample):
+    def corrupted(params, rng, size=None):
+        xbar = params.xbar
+        return xbar + 1.05 * (sample(params, rng, size=size) - xbar)
+    return corrupted
+
+
+def belief_moved_to_arm_0(estimate):
+    def corrupted(*args):
+        rho = estimate(*args).copy()
+        rho[0] += 0.1
+        rho[1] -= 0.1
+        return rho
+    return corrupted
+
+
+def dc_offset(synth):
+    return lambda *args: synth(*args) + 1.0
+
+
+# each check, the function its control patches in verify, and how; the
+# first is the control of the scatter law
 CORRUPTIONS = (
     (verify.check_chi2_law, "_draw", double_variance),
     (verify.check_mean_law, "_draw", shift_mean),
@@ -71,17 +103,32 @@ CORRUPTIONS = (
     (verify.check_scatter_tail_bound, "_draw", double_variance),
     (verify.check_independence, "_draw", variance_by_noise_sign),
     (verify.check_batch_equivalence, "_fold_arm", inflate_low_power_folds),
+    (verify.check_posterior_normalization, "posterior_density",
+     scaled(1.001)),
+    (verify.check_tail_monotonicity, "posterior_radial_tail",
+     tail_ignoring_scatter),
+    (verify.check_chi2_quadrature, "chi2_cdf_even", scaled(1.0 + 1e-6)),
+    (verify.check_sampler_tail_identity, "sample_posterior", wider_radius),
+    (verify.check_rho_symmetry, "estimate_rho", belief_moved_to_arm_0),
+    (verify.check_multisine_dft, "synth_multisine", scaled(1.001)),
+    (verify.check_multisine_dft, "synth_multisine", dc_offset),
 )
 
 
+def passes(check) -> bool:
+    """Whether ``check`` passes, on a fresh generator if it draws one."""
+    n_streams = len(inspect.signature(check).parameters)
+    return check(*[np.random.default_rng(0)] * n_streams)[0]
+
+
 def test_suite_detects_corrupted_variance_law(monkeypatch):
-    # sanity check of the harness itself: each check passes on the engine
-    # and fails once the engine's draw or fold is corrupted
+    # sanity check of the harness itself: each check passes on the clean
+    # code and fails once the function its control names is corrupted
     for check, name, corrupt in CORRUPTIONS:
-        assert check(np.random.default_rng(0))[0], check.__name__
+        assert passes(check), check.__name__
         with monkeypatch.context() as m:
             m.setattr(verify, name, corrupt(getattr(verify, name)))
-            assert not check(np.random.default_rng(0))[0], check.__name__
+            assert not passes(check), (check.__name__, corrupt.__name__)
 
 
 @pytest.mark.parametrize("seed", [8, 10, 11, 12])
