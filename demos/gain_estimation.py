@@ -14,7 +14,6 @@ from spreadbandits import (
     PowerProfile,
     RunConfig,
     freq_response,
-    grid_from_fir,
     run_replication,
     synth_multisine,
 )
@@ -29,7 +28,10 @@ w0 = grid.omegas[7]
 taps = np.array([0.9 ** n * np.sin(w0 * (n + 1)) for n in range(K)])
 taps /= np.max(np.abs(freq_response(taps, grid.omegas)))
 
-problem = grid_from_fir(taps, [0.5], K)
+cfg = RunConfig(mode="gain", T=T, replications=REPS, seed=0,
+                policies=("wts",), mc_samples=512, thin=T,
+                g_coeffs=taps, h_coeffs=np.array([0.5]), K=K)
+problem = cfg.problem
 print(f"{K}-bin grid, N = {grid.N} samples per input period")
 print(f"peak gain {problem.peak_gain:.6f} at bin {problem.peak_bin} "
       f"(omega = {grid.omegas[problem.peak_bin]:.3f} rad)")
@@ -43,10 +45,6 @@ X = np.abs(np.fft.fft(u))[1:K + 1]
 others = np.delete(X, problem.peak_bin)
 print(f"\none-hot multisine: energy {X[problem.peak_bin]:.2f} at the "
       f"target bin, {others.max():.2e} in every other bin")
-
-cfg = RunConfig(mode="gain", T=T, replications=REPS, seed=0,
-                policies=("wts",), mc_samples=512, thin=T,
-                g_coeffs=taps, h_coeffs=np.array([0.5]), K=K)
 
 print(f"\nwts measurement runs, T = {T}:")
 print("rep   bin   estimate    error")

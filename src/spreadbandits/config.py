@@ -25,8 +25,9 @@ A :class:`RunConfig` is valid by construction: its ``__post_init__`` checks
 every run rule and builds the bandit instance of a simulate or gain run,
 once, so a config built in Python, or changed with
 :meth:`RunConfig.replaced`, meets the same rules as one read from a file,
-and a run reads its instance off ``cfg.instance``.  :func:`parse_config`
-turns the text into typed fields.
+and a run reads its instance off ``cfg.instance`` (and a gain run its
+FIR problem off ``cfg.problem``).  :func:`parse_config` turns the text
+into typed fields.
 """
 
 import ast
@@ -64,9 +65,11 @@ class RunConfig:
     ``[run]``.  ``__post_init__`` raises :class:`ValidationError`, naming
     the field, on any rule a config file must meet, and builds the
     :class:`spreadbandits.core.BanditInstance` the fields describe as the
-    attribute ``instance`` (None in verify mode), read-only like every
-    field.  It is not a field, so :meth:`replaced` builds it anew and
-    :meth:`to_dict` does not echo it.
+    attribute ``instance`` (None in verify mode) and, in gain mode, the
+    :class:`spreadbandits.sysid.GainProblem` whose instance it is as the
+    attribute ``problem`` (None in the other modes), both read-only like
+    every field.  They are not fields, so :meth:`replaced` builds them anew
+    and :meth:`to_dict` does not echo them.
     """
 
     mode: str
@@ -118,16 +121,17 @@ class RunConfig:
             if section != used and getattr(self, f.name) is not None:
                 raise ValidationError(f"{f.name}: not used in {self.mode} "
                                       f"mode")
-        instance = None
+        instance = problem = None
         try:
             if self.mode == "simulate":
                 instance = new_instance(self.means, self.variances)
             elif self.mode == "gain":
-                instance = grid_from_fir(self.g_coeffs, self.h_coeffs,
-                                         self.K).instance
+                problem = grid_from_fir(self.g_coeffs, self.h_coeffs, self.K)
+                instance = problem.instance
         except (TypeError, ValueError) as e:  # a BanditError is a ValueError
             raise ValidationError(
                 f"config does not define a valid problem: {e}") from None
+        object.__setattr__(self, "problem", problem)
         object.__setattr__(self, "instance", instance)
 
     def replaced(self, **kw) -> "RunConfig":

@@ -429,8 +429,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     cumulative power at rounds T//10 and T and, in gain mode, the
     ``beta_hat`` and ``k_hat`` of each recorded round.  No profile or
     outcome object is built per round.  Each stream is read in blocks of
-    rounds; what is left of the last blocks after round T is dropped with
-    the task's generators.  A :class:`BanditError` of a round is raised
+    rounds, none past round T.  A :class:`BanditError` of a round is raised
     again with its policy, replication and round in the message.
     """
     instance = cfg.instance
@@ -442,11 +441,12 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
                                  rng_streams.POLICY)
     K = instance.n_arms
     state = make_policy(kind, instance, cfg.mc_samples)
-    env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K)).__next__
+    T = cfg.T
+    env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
+                                      T).__next__
     fill = _policy_fill(kind, K, state.mc_samples)
     policy_noise = (None if fill is None else
-                    rng_streams.in_blocks(rng_pol, *fill).__next__)
-    T = cfg.T
+                    rng_streams.in_blocks(rng_pol, *fill, T).__next__)
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
     gain_mode = cfg.mode == "gain"

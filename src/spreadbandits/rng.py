@@ -14,6 +14,8 @@ holds the values that one draw per round would give, in the same order,
 whatever the block size.
 """
 
+import math
+
 import numpy as np
 
 # purposes of the per-replication streams
@@ -35,19 +37,24 @@ def stream(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def in_blocks(rng: np.random.Generator, fill, round_bytes: int):
+def in_blocks(rng: np.random.Generator, fill, round_bytes: int,
+              rounds: int | None = None):
     """Yield a stream's draws a round at a time, filled in blocks.
 
-    ``fill(rng, rounds)`` draws ``rounds`` rounds from ``rng`` and returns
-    them indexed by round; a round takes ``round_bytes`` bytes, so a block
-    holds ``max(1, BLOCK_BYTES // round_bytes)`` rounds.  The first block is
-    drawn by the first ``next``, and each later one when the last is used
-    up; draws left in the block when reading stops are never used.  A used
-    block stays alive until the next fill returns: a block is larger than
-    malloc's mmap threshold, and freeing it before the fill costs the fill
-    fresh pages.
+    ``fill(rng, n)`` draws ``n`` rounds from ``rng`` and returns them
+    indexed by round; a round takes ``round_bytes`` bytes, so a block holds
+    ``max(1, BLOCK_BYTES // round_bytes)`` rounds.  ``rounds`` is the most
+    rounds the caller can read (no bound when None): the last block is cut
+    to it, so no round past it is drawn, and the generator ends there.  The
+    first block is drawn by the first ``next``, and each later one when the
+    last is used up.  A used block stays alive until the next fill returns:
+    a block is larger than malloc's mmap threshold, and freeing it before
+    the fill costs the fill fresh pages.
     """
-    rounds = max(1, BLOCK_BYTES // int(round_bytes))
-    while True:
-        block = fill(rng, rounds)
+    per_block = max(1, BLOCK_BYTES // int(round_bytes))
+    left = math.inf if rounds is None else rounds
+    while left > 0:
+        n = min(per_block, left)
+        left -= n
+        block = fill(rng, n)
         yield from block

@@ -6,8 +6,9 @@ instance its config built, driven by two random streams keyed on ``(seed,
 policy id, replication, purpose)`` - one for outcome noise, one for
 policy-internal draws - so results do not depend on execution order or
 worker count, and raising ``replications`` appends new traces without
-disturbing existing ones.  A stream is read in blocks of rounds, and a
-round's draws are the same whatever the block size, so the trace is too.
+disturbing existing ones.  A stream is read in blocks of rounds, none
+past round T, and a round's draws are the same whatever the block size,
+so the trace is too.
 
 ``run`` writes ``<out>.csv`` with header
 
@@ -16,7 +17,9 @@ round's draws are the same whatever the block size, so the trace is too.
 (the two extra columns in gain mode), rows sorted by (policy, replication,
 t), floats at 17 significant digits, plus a ``<out>.json`` sidecar carrying
 the config echo, the instance's bound constants, a per-policy horizon
-summary and ``csv_sha256``, the sha256 of the CSV bytes the run wrote.
+summary, ``csv_sha256``, the sha256 of the CSV bytes the run wrote, and
+the numpy build that drew them (``numpy_version``, and ``simd``: numpy's
+baseline SIMD targets and the dispatch targets enabled on this CPU).
 Each file is written to a temporary file in the same directory and moved
 into place, so an interrupted run leaves the previous file or none, never
 a partial one; a run that fails between the two files leaves a CSV whose
@@ -26,7 +29,8 @@ hash is not the sidecar's.
 :class:`spreadbandits.policies.ReplicationOut`, which carries its recorded
 rounds as columns, one array each: ``t``, ``regret_step``, ``regret_cum``
 and, in gain mode, ``beta_hat`` and ``k_hat``.  These columns are the one
-in-memory form of a trace; the CSV is written from them.
+in-memory form of a trace; the CSV is written from them in this process,
+a task at a time, with each distinct value of a column formatted once.
 """
 
 import hashlib
@@ -37,6 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -55,6 +60,10 @@ from .policies import (
     sample_outcome,
 )
 from .sysid import gain_estimate
+
+
+# rows of trace text joined, hashed and written at a time
+ROWS_PER_WRITE = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,30 +100,65 @@ def _replacing(path: str):
             os.unlink(tmp)
 
 
+def _float_texts(col: np.ndarray) -> list:
+    """``format(x, ".17g")`` of each entry of the float64 column ``col``,
+    computed once per distinct bit pattern (so ``0.0`` and ``-0.0`` stay
+    apart, and every NaN matches its own bits)."""
+    if col.dtype != np.float64:
+        raise TypeError(f"a float trace column must be float64, not "
+                        f"{col.dtype}")
+    bits, at = np.unique(col.view(np.int64), return_inverse=True)
+    texts = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[at].tolist()
+
+
 def _write_csv(path: str, outputs, gain_mode: bool) -> str:
     """Write the trace of ``outputs``, one block of rows per task, in order,
     and return the sha256 of the bytes written.
 
-    Each block comes from one ``%`` template with the task's policy and
-    replication in it; ``%.17g`` runs the same routine as
-    ``format(x, ".17g")``.
+    A block is built column by column: each distinct value of a float
+    column is formatted once (:func:`_float_texts`), the ``t`` column once
+    for all the tasks that record the same rounds, and a row is one
+    ``",".join`` of its texts.  The rows of a block are joined, hashed and
+    written ``ROWS_PER_WRITE`` at a time, so neither the file nor a whole
+    block of it is held as text.
     """
     header = "policy,replication,t,regret_step,regret_cum"
-    fields = ",%d,%.17g,%.17g"
     if gain_mode:
         header += ",beta_hat,k_hat"
-        fields += ",%.17g,%d"
     digest = hashlib.sha256()
+    t = t_texts = None
     with _replacing(path) as fh:
         def write(text):
             fh.write(text)
             digest.update(text.encode())
         write(header + "\n")
         for out in outputs:
-            fmt = f"{out.policy},{out.replication}{fields}\n"
-            cols = (c.tolist() for c in out.columns())
-            write("".join(map(fmt.__mod__, zip(*cols))))
+            if t is None or not np.array_equal(t, out.t):
+                t, t_texts = out.t, list(map(str, out.t.tolist()))
+            cols = [t_texts, _float_texts(out.regret_step),
+                    _float_texts(out.regret_cum)]
+            if gain_mode:
+                cols += [_float_texts(out.beta_hat),
+                         list(map(str, out.k_hat.tolist()))]
+            rows = map(",".join,
+                       zip(repeat(f"{out.policy},{out.replication}"), *cols))
+            for _ in range(0, len(out.t), ROWS_PER_WRITE):
+                write("\n".join(chain(islice(rows, ROWS_PER_WRITE), ("",))))
     return digest.hexdigest()
+
+
+def _simd():
+    """numpy's baseline SIMD targets and the dispatch targets it enables on
+    this CPU, or None where numpy does not expose them."""
+    try:
+        umath = np._core._multiarray_umath
+        enabled = umath.__cpu_features__
+        return {"baseline": list(umath.__cpu_baseline__),
+                "dispatch": [t for t in umath.__cpu_dispatch__
+                             if enabled.get(t)]}
+    except AttributeError:
+        return None
 
 
 def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
@@ -170,6 +214,8 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         "bound_constants": asdict(consts),
         "horizon_summary": summary,
         "csv_sha256": csv_sha256,
+        "numpy_version": np.__version__,
+        "simd": _simd(),
         "started_at": started.isoformat(),
         "elapsed_s": elapsed,
     }

@@ -51,7 +51,7 @@ from .posterior import (
     posterior_radial_tail,
     sample_posterior,
 )
-from .sysid import FrequencyGrid, grid_from_fir, synth_multisine
+from .sysid import FrequencyGrid, synth_multisine
 
 
 # rotation-invariance slack, in units of eps * max_norm for the gaps and of
@@ -494,12 +494,12 @@ def check_gain_mse_slope(rng):
     FIR problem; the MSE at each of t = 100, 1000, 10000 is the mean of
     ``(beta_hat - peak_gain)^2`` over 100 replications.
     """
-    g, h, K = np.array([0.30, 0.48, 0.30, 0.12]), np.array([0.5]), 6
-    peak = grid_from_fir(g, h, K).peak_gain
     ts = [100, 1000, 10000]
     cfg = RunConfig(mode="gain", T=ts[-1], replications=100,
                     seed=int(rng.integers(1 << 31)), policies=(ORACLE,),
-                    thin=ts[0], g_coeffs=g, h_coeffs=h, K=K)
+                    thin=ts[0], g_coeffs=np.array([0.30, 0.48, 0.30, 0.12]),
+                    h_coeffs=np.array([0.5]), K=6)
+    peak = cfg.problem.peak_gain
     errs = []
     for rep in range(cfg.replications):
         out = run_replication(cfg, ORACLE, rep)
@@ -513,10 +513,9 @@ def check_gain_mse_slope(rng):
 def check_gain_noiseless():
     """With vanishing noise a 10-round WTS gain run recovers the peak gain
     almost exactly."""
-    g, h, K = [0.35, 0.45, 0.1], [1e-6], 8
-    problem = grid_from_fir(g, h, K)
     cfg = RunConfig(mode="gain", T=10, seed=5, mc_samples=256, thin=10,
-                    g_coeffs=g, h_coeffs=h, K=K)
+                    g_coeffs=[0.35, 0.45, 0.1], h_coeffs=[1e-6], K=8)
+    problem = cfg.problem
     out = run_replication(cfg, WTS, 0)
     err = abs(out.beta_hat[-1] - problem.peak_gain)
     ok = err < 1e-4 and out.k_hat[-1] == problem.peak_bin

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from spreadbandits import KINDS, run_replication
+from spreadbandits import policies
 from spreadbandits import rng as rng_streams
 from spreadbandits.policies import _env_fill, _policy_fill
 from engine_reference import (
@@ -103,3 +104,27 @@ def test_trace_does_not_depend_on_block_size(monkeypatch, kind, mode):
     for budget in budgets:
         monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
         assert_matches_reference(run_replication(cfg, kind, 2), cfg, *want)
+
+
+@pytest.mark.parametrize("kind", ["ts_known", "wts"])
+def test_streams_stop_at_the_horizon(monkeypatch, kind):
+    # a spy on each fill counts the rounds run_replication asks a stream
+    # for: at most T, so no block is drawn past the last round
+    cfg = simulate_config(0).replaced(T=40)
+    asked = {}
+
+    def spy(stream, make_fill):
+        def made(*args):
+            fill, nbytes = make_fill(*args)
+
+            def counted(rng, rounds):
+                asked[stream] = asked.get(stream, 0) + rounds
+                return fill(rng, rounds)
+            return counted, nbytes
+        return made
+
+    monkeypatch.setattr(policies, "_env_fill", spy("env", _env_fill))
+    monkeypatch.setattr(policies, "_policy_fill", spy("policy", _policy_fill))
+    run_replication(cfg, kind, 0)
+    assert set(asked) == {"env", "policy"}
+    assert max(asked.values()) <= cfg.T

@@ -9,6 +9,7 @@ from spreadbandits import KINDS, run
 from spreadbandits.config import RunConfig, load_config, parse_config
 from spreadbandits.core import BanditInstance
 from spreadbandits.errors import ParseError, ValidationError
+from spreadbandits.sysid import GainProblem
 
 SIMULATE = """\
 [instance]
@@ -260,6 +261,17 @@ class TestInstance:
             with pytest.raises(AttributeError):
                 cfg.instance = None
         assert RunConfig(mode="verify").instance is None
+
+    def test_gain_problem_is_not_a_field(self):
+        cfg = RunConfig(**VALID["gain"])
+        assert isinstance(cfg.problem, GainProblem)
+        assert cfg.instance is cfg.problem.instance
+        assert cfg.problem.peak_bin == cfg.instance.k_star
+        assert "problem" not in cfg.to_dict()
+        with pytest.raises(AttributeError):
+            cfg.problem = None
+        assert RunConfig(**VALID["simulate"]).problem is None
+        assert RunConfig(mode="verify").problem is None
 
     def test_instance_keeps_its_own_arrays(self):
         # a write to the caller's array cannot leave k_star and gaps stale

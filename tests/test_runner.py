@@ -106,7 +106,13 @@ class TestTraceFile:
         rep = run(cfg, quiet=True)
         side = json.loads(Path(rep.json_path).read_text())
         assert set(side) == {"config", "bound_constants", "horizon_summary",
-                             "csv_sha256", "started_at", "elapsed_s"}
+                             "csv_sha256", "numpy_version", "simd",
+                             "started_at", "elapsed_s"}
+        assert side["numpy_version"] == np.__version__
+        simd = side["simd"]
+        assert simd is None or (set(simd) == {"baseline", "dispatch"}
+                                and all(isinstance(t, str) for t in
+                                        simd["baseline"] + simd["dispatch"]))
         assert set(side["bound_constants"]) == {
             "spreading_known", "spreading_unknown", "ns_known", "ns_unknown"}
         assert side["config"]["T"] == 40
@@ -332,6 +338,39 @@ class TestCsvWriter:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert len(new.splitlines()) == 1 + 4 * len(AWKWARD)
+
+    @pytest.mark.parametrize("gain_mode", [False, True],
+                             ids=["simulate", "gain"])
+    @pytest.mark.parametrize("rows_per_write", [1, 5, 4096])
+    def test_repeated_values_match_reference_writer(
+            self, tmp_path, monkeypatch, gain_mode, rows_per_write):
+        # each distinct value is formatted once per block: 0.0 and -0.0
+        # stay apart, and NaNs of any payload and sign still print, within
+        # a block and across blocks; the t texts of one task are reused by
+        # the next only when its rounds are the same; a block goes to the
+        # file in slices of rows_per_write rows
+        monkeypatch.setattr(runner_mod, "ROWS_PER_WRITE", rows_per_write)
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                         0xFFF8000000000000], dtype=np.uint64)
+        vals = np.concatenate([np.array([0.0, -0.0, 5e-324, 0.1] * 3),
+                               nans.view(np.float64)])
+        outs = []
+        for i, (policy, rep, thin) in enumerate(
+                [("oracle", 0, 1), ("oracle", 1, 1), ("uniform", 0, 3),
+                 ("wts", 4, 1)]):
+            steps = np.roll(vals, i)
+            gain = {}
+            if gain_mode:
+                gain = {"beta_hat": steps[::-1].copy(),
+                        "k_hat": np.arange(len(vals), dtype=np.int64) % 3}
+            t = np.arange(1, len(vals) + 1, dtype=np.int64) * thin
+            outs.append(policies.ReplicationOut(
+                policy, rep, t, steps, np.roll(vals, -i), 0.0, {}, **gain))
+        runner_mod._write_csv(str(tmp_path / "new.csv"), outs, gain_mode)
+        reference_write_csv(str(tmp_path / "ref.csv"), outs, gain_mode)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b",-0,") and new.count(b",0,")
 
     def test_failed_write_leaves_old_file(self, tmp_path):
         outs = hand_built_outputs(False)
