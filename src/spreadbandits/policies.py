@@ -30,7 +30,9 @@ the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`),
 a one-hot play draws and folds its one arm in floats (:func:`_draw_arm`,
 :func:`_fold_arm`), and ``uniform`` and the warm-up of ``wts`` play one
 read-only flat profile per K (:func:`_flat`), whose regret step and noise
-scale the loop keeps while it repeats.  The public :func:`policy_step`,
+scale the loop keeps while it repeats.  In simulate mode nothing reads
+the statistics of a :data:`FIXED_PLAYS` kind, whose play only adds to
+``z``: it draws and folds nothing.  The public :func:`policy_step`,
 :func:`sample_outcome` and :func:`observe` run the same functions one round
 at a time, validated: the play as a :class:`PowerProfile`, and the
 observations as one (K, 2) array whose row for an arm with zero power is
@@ -81,6 +83,8 @@ TS_UNKNOWN = "ts_unknown"
 ORACLE = "oracle"
 UNIFORM = "uniform"
 KINDS = (WTS, TS_KNOWN, TS_UNKNOWN, ORACLE, UNIFORM)
+# kinds whose play never reads their statistics
+FIXED_PLAYS = (ORACLE, UNIFORM)
 
 # stable ids keying the per-policy random streams (do not reorder)
 KIND_IDS = {WTS: 0, TS_KNOWN: 1, TS_UNKNOWN: 2, ORACLE: 3, UNIFORM: 4}
@@ -429,27 +433,31 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     cumulative power at rounds T//10 and T and, in gain mode, the
     ``beta_hat`` and ``k_hat`` of each recorded round.  No profile or
     outcome object is built per round.  Each stream is read in blocks of
-    rounds, none past round T.  A :class:`BanditError` of a round is raised
+    rounds, none past round T; in simulate mode a :data:`FIXED_PLAYS` kind
+    builds no outcome stream, and adds its play to ``state.z`` by the
+    fold's own float additions.  A :class:`BanditError` of a round is raised
     again with its policy, replication and round in the message.
     """
     instance = cfg.instance
     if instance is None:
         raise ValidationError(f"no instance to play in {cfg.mode} mode")
-    rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
-                                 rng_streams.ENV)
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.POLICY)
     K = instance.n_arms
     state = make_policy(kind, instance, cfg.mc_samples)
     T = cfg.T
-    env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
-                                      T).__next__
+    gain_mode = cfg.mode == "gain"
+    env_noise = None  # nothing reads a fixed play's outcomes in simulate mode
+    if gain_mode or kind not in FIXED_PLAYS:
+        rng_env = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
+                                     rng_streams.ENV)
+        env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
+                                          T).__next__
     fill = _policy_fill(kind, K, state.mc_samples)
     policy_noise = (None if fill is None else
                     rng_streams.in_blocks(rng_pol, *fill, T).__next__)
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
-    gain_mode = cfg.mode == "gain"
     means, variances, gaps = instance.means, instance.variances, instance.gaps
     # a one-hot play reads its arm's constants as Python floats;
     # gaps[k] is bit-equal to gaps @ one_hot(k)
@@ -466,16 +474,22 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
             play = _choose(state, policy_noise)
             if type(play) is int:
                 step = gap[play]
-                x0, x1 = _draw_arm(mean_x[play], mean_y[play], var[play],
-                                   env_noise())
-                _fold_arm(state, play, 1.0, x0, x1)
+                if env_noise is None:
+                    state.z[play] += 1.0
+                else:
+                    x0, x1 = _draw_arm(mean_x[play], mean_y[play],
+                                       var[play], env_noise())
+                    _fold_arm(state, play, 1.0, x0, x1)
             else:
                 if play is not dense:
                     dense = play
                     dense_step = float(gaps @ play)
                     scale = _noise_scale(variances, play)
                 step = dense_step
-                _fold_powers(state, play, means + scale * env_noise())
+                if env_noise is None:
+                    state.z += play
+                else:
+                    _fold_powers(state, play, means + scale * env_noise())
             state.round += 1
             cum += step
             if t % thin == 0 or t == T:

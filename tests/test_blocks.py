@@ -106,16 +106,18 @@ def test_trace_does_not_depend_on_block_size(monkeypatch, kind, mode):
         assert_matches_reference(run_replication(cfg, kind, 2), cfg, *want)
 
 
-@pytest.mark.parametrize("kind", ["ts_known", "wts"])
-def test_streams_stop_at_the_horizon(monkeypatch, kind):
-    # a spy on each fill counts the rounds run_replication asks a stream
-    # for: at most T, so no block is drawn past the last round
-    cfg = simulate_config(0).replaced(T=40)
+def asked_rounds(monkeypatch, cfg, kind) -> dict:
+    """The rounds one :func:`run_replication` of ``kind`` asks each stream
+    for, counted through a spy on each fill; a stream it never builds is
+    absent."""
     asked = {}
 
     def spy(stream, make_fill):
         def made(*args):
-            fill, nbytes = make_fill(*args)
+            pair = make_fill(*args)
+            if pair is None:
+                return None
+            fill, nbytes = pair
 
             def counted(rng, rounds):
                 asked[stream] = asked.get(stream, 0) + rounds
@@ -126,5 +128,24 @@ def test_streams_stop_at_the_horizon(monkeypatch, kind):
     monkeypatch.setattr(policies, "_env_fill", spy("env", _env_fill))
     monkeypatch.setattr(policies, "_policy_fill", spy("policy", _policy_fill))
     run_replication(cfg, kind, 0)
+    return asked
+
+
+@pytest.mark.parametrize("kind", ["ts_known", "wts"])
+def test_streams_stop_at_the_horizon(monkeypatch, kind):
+    # at most T rounds from each stream, so no block is drawn past the
+    # last round
+    cfg = simulate_config(0).replaced(T=40)
+    asked = asked_rounds(monkeypatch, cfg, kind)
     assert set(asked) == {"env", "policy"}
     assert max(asked.values()) <= cfg.T
+
+
+@pytest.mark.parametrize("kind", ["oracle", "uniform"])
+def test_fixed_plays_draw_outcomes_only_in_gain_mode(monkeypatch, kind):
+    # in simulate mode nothing reads a fixed play's outcomes, so it asks no
+    # stream for a round; gain mode estimates from them at every round
+    assert asked_rounds(monkeypatch, simulate_config(0).replaced(T=40),
+                        kind) == {}
+    cfg = gain_config(0).replaced(T=40)
+    assert asked_rounds(monkeypatch, cfg, kind) == {"env": cfg.T}

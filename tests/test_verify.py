@@ -1,11 +1,12 @@
 """Self-verification suite: everything passes, and the harness can fail."""
 
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from spreadbandits import policies, verify
+from spreadbandits import policies, posterior, verify
 from spreadbandits import rng as rng_streams
 from spreadbandits.cli import main
 from spreadbandits.errors import InsufficientData, TiedOptimum
@@ -221,3 +222,50 @@ def test_one_hot_check_detects_spread_baselines(monkeypatch):
         else real(state, noise)))
     assert failing_among(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
+
+
+def test_one_hot_check_detects_oracle_off_the_best_arm(monkeypatch):
+    # the oracle's play comes from _choose, not from the instance's k_star
+    real = policies._choose
+    monkeypatch.setattr(policies, "_choose", lambda state, noise: (
+        1 if state.kind == "oracle" else real(state, noise)))
+    assert failing_among(monkeypatch, "one-hot-baselines") == (
+        "one-hot-baselines",)
+
+
+def uniforms_shared_by_all_samples(uniforms):
+    # one draw per arm stands for all M Monte Carlo samples
+    return lambda rng, K, M, rounds: np.repeat(uniforms(rng, K, 1, rounds),
+                                               M, axis=-1)
+
+
+def beta_hat_scaled(estimate):
+    def corrupted(z, xbar):
+        est = estimate(z, xbar)
+        return dataclasses.replace(est, beta_hat=1.001 * est.beta_hat)
+    return corrupted
+
+
+def latest_observation_only(fold):
+    def corrupted(state, k, p, x0, x1):
+        fold(state, k, p, x0, x1)
+        state.mean[k] = x0, x1
+    return corrupted
+
+
+# each check without another control, and the function its control
+# patches, by module
+CONTROLS = {
+    "rho-consistency": (posterior, "_kernel_uniforms",
+                        uniforms_shared_by_all_samples),
+    "gain-noiseless-recovery": (policies, "gain_estimate", beta_hat_scaled),
+    # the gain-mode oracle still folds every observation
+    "gain-oracle-mse-slope": (policies, "_fold_arm", latest_observation_only),
+}
+
+
+@pytest.mark.parametrize("name", CONTROLS)
+def test_check_detects_its_defect(monkeypatch, name):
+    module, attr, corrupt = CONTROLS[name]
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    assert failing_among(monkeypatch, name) == (name,)
