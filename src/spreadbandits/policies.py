@@ -26,18 +26,19 @@ replication of a :class:`spreadbandits.RunConfig` on the instance the
 config built, and returns the :class:`ReplicationOut` it fills.  On
 K-vectors numpy's fixed cost per call, about a microsecond, outweighs the
 arithmetic, so the loop keeps such calls out of the rounds where it can:
-the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`),
-a one-hot play draws and folds its one arm in floats (:func:`_draw_arm`,
-:func:`_fold_arm`), and ``uniform`` and the warm-up of ``wts`` play one
-read-only flat profile per K (:func:`_flat`), whose regret step and noise
-scale the loop keeps while it repeats.  In simulate mode nothing reads
-the statistics of a :data:`FIXED_PLAYS` kind, whose play only adds to
-``z``: it draws and folds nothing.  The public :func:`policy_step`,
-:func:`sample_outcome` and :func:`observe` run the same functions one round
-at a time, validated: the play as a :class:`PowerProfile`, and the
-observations as one (K, 2) array whose row for an arm with zero power is
-NaN, checked once on the way in.  A state is owned by exactly one
-simulation run.
+the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`)
+from per-arm posterior constants that each fold refreshes for the one arm
+it changes (:class:`_Posteriors`), a one-hot play draws and folds its one
+arm in floats (:func:`_draw_arm`, :func:`_fold_arm`), and ``uniform`` and
+the warm-up of ``wts`` play one read-only flat profile per K
+(:func:`_flat`), whose regret step and noise scale the loop keeps while it
+repeats.  In simulate mode nothing reads the statistics of a
+:data:`FIXED_PLAYS` kind, whose play only adds to ``z``: it draws and
+folds nothing.  The public :func:`policy_step`, :func:`sample_outcome` and
+:func:`observe` run the same functions one round at a time, validated: the
+play as a :class:`PowerProfile`, and the observations as one (K, 2) array
+whose row for an arm with zero power is NaN, checked once on the way in.
+A state is owned by exactly one simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
@@ -45,10 +46,12 @@ rounds in one call, with the part of each draw that does not depend on the
 state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
 radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``).
 :func:`_choose` takes the round's draws from a callable, which it calls
-only in a round that draws: :func:`run_replication` passes the
+only in a round that draws, and which :func:`_round_noise` wraps in the
+Thompson baselines' posteriors: :func:`run_replication` passes the
 ``__next__`` of a :func:`spreadbandits.rng.in_blocks` generator, and
-:func:`policy_step` a call of the fill for one round, so the public API
-takes from its generator exactly what one round takes.
+:func:`policy_step` a call of the fill for one round, with posteriors built
+anew, so the public API takes from its generator exactly what one round
+takes and sees the statistics as they are.
 """
 
 import functools
@@ -290,9 +293,57 @@ def _wts_powers(state: PolicyState, noise) -> np.ndarray:
     return q / np.add.reduce(q)
 
 
-def _ts_arm(state: PolicyState, noise) -> int:
-    """The arm the one-hot Thompson baseline plays this round; ``noise()``
-    gives the round's posterior draws once the warm-up is over.
+class _Posteriors:
+    """A one-hot Thompson baseline's posteriors, for :func:`_ts_arm`:
+    ``draws()`` gives a round's draws, and ``consts`` holds per arm what
+    changes only when the arm is folded (``(xbar_x, xbar_y, sqrt(sigma2 /
+    (2 n)))`` for ``ts_known``; ``|xbar|^2`` for ``ts_unknown``, with ``S /
+    n`` and ``n - 2`` in the K-vectors ``scale`` and ``dof`` that
+    :func:`_radial_t_d2` takes).  :meth:`build` makes them after the
+    warm-up and :meth:`refresh` remakes an arm's from what
+    :func:`_fold_arm` returns, so a state changed any other way needs a
+    fresh instance."""
+
+    __slots__ = ("draws", "sigma2", "consts", "scale", "dof")
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.consts = None
+
+    def build(self, state: PolicyState) -> None:
+        n_obs = np.rint(state.z)
+        known = state.kind == TS_KNOWN
+        if np.minimum.reduce(n_obs) < (1 if known else 3):
+            raise InsufficientData(f"{state.kind} needs every arm observed "
+                                   f"{'once' if known else 'three times'}")
+        K = state.n_arms
+        self.sigma2 = state.sigma2.tolist() if known else None
+        self.consts = [None] * K
+        self.scale, self.dof = np.empty(K), np.empty(K)
+        for k, (n, (mx, my), S) in enumerate(zip(
+                n_obs.tolist(), state.mean.tolist(), state.S.tolist())):
+            self.refresh(k, n, mx, my, S)
+
+    def refresh(self, k: int, n: float, mx: float, my: float,
+                S: float) -> None:
+        """Remake arm k's constants from its ``n`` one-hot observations,
+        the whole number ``z`` that folds at power 1 keep, and its mean
+        and scatter; nothing before :meth:`build`."""
+        if self.consts is None:
+            return
+        if self.sigma2 is not None:
+            self.consts[k] = mx, my, math.sqrt(self.sigma2[k] / (2.0 * n))
+        else:
+            # bivariate-t posterior of an arm with n one-hot observations
+            # is the weighted posterior at z = n, round index n + 1
+            self.consts[k] = mx * mx + my * my
+            self.scale[k] = S / n
+            self.dof[k] = n - 2.0
+
+
+def _ts_arm(state: PolicyState, post: _Posteriors) -> int:
+    """The arm the one-hot Thompson baseline plays this round, sampled from
+    ``post`` once the warm-up is over.
 
     Each sampled norm is computed in Python floats in the order of the
     array expression it stands for (``xbar + scale * g``, then ``dx * dx +
@@ -305,29 +356,18 @@ def _ts_arm(state: PolicyState, noise) -> int:
               else TS_UNKNOWN_WARMUP_PASSES)
     if t <= passes * K:
         return (t - 1) % K
-
+    if post.consts is None:
+        post.build(state)
     norms2 = []
-    if state.kind == TS_KNOWN:
-        n_obs = np.rint(state.z).tolist()
-        if min(n_obs) < 1:
-            raise InsufficientData("ts_known needs every arm observed once")
-        for (mx, my), s2, n, (g0, g1) in zip(
-                state.mean.tolist(), state.sigma2.tolist(), n_obs, noise()):
-            scale = math.sqrt(s2 / (2.0 * n))
+    if post.sigma2 is not None:
+        for (mx, my, scale), (g0, g1) in zip(post.consts, post.draws()):
             dx = mx + scale * g0
             dy = my + scale * g1
             norms2.append(dx * dx + dy * dy)
     else:
-        n_obs = np.rint(state.z)
-        if np.minimum.reduce(n_obs) < 3:
-            raise InsufficientData(
-                "ts_unknown needs every arm observed three times")
-        # bivariate-t posterior of an arm with n one-hot observations is the
-        # weighted posterior at z = n, round index n + 1
-        e, cos = noise()
-        d2 = _radial_t_d2(e, state.S / n_obs, n_obs - 2.0)
-        for (mx, my), c, d in zip(state.mean.tolist(), cos, d2.tolist()):
-            b2 = mx * mx + my * my
+        e, cos = post.draws()
+        d2 = _radial_t_d2(e, post.scale, post.dof)
+        for b2, c, d in zip(post.consts, cos, d2.tolist()):
             norms2.append(b2 + 2.0 * math.sqrt(b2 * d) * c + d)
     return _first_max(norms2)
 
@@ -351,8 +391,9 @@ def _choose(state: PolicyState, noise):
     """The current round's play: a power vector (``wts``, ``uniform``) or
     the index of the arm that gets all the power (the one-hot kinds).
 
-    ``noise()`` returns the round's draws of :func:`_policy_fill`; it is
-    called once in a round that draws and not at all in one that does not.
+    ``noise`` is what :func:`_round_noise` makes of the kind's draws of
+    :func:`_policy_fill`; a round that draws takes one round of them, and
+    a round that does not takes none.
     """
     kind = state.kind
     if kind == WTS:
@@ -362,6 +403,13 @@ def _choose(state: PolicyState, noise):
     if kind == UNIFORM:
         return _flat(state.n_arms)
     return _ts_arm(state, noise)
+
+
+def _round_noise(kind: str, draws):
+    """The ``noise`` :func:`_choose` takes for ``kind``, whose rounds take
+    ``draws()``: a :class:`_Posteriors` over them for the Thompson
+    baselines, the draws themselves otherwise."""
+    return _Posteriors(draws) if kind in (TS_KNOWN, TS_UNKNOWN) else draws
 
 
 def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
@@ -378,9 +426,10 @@ def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
 
 
 def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
-              x1: float) -> None:
+              x1: float) -> tuple:
     """Fold one observation (x0, x1) at power ``p > 0`` into arm ``k``
-    alone: :func:`_fold_powers`'s recurrence, in its order, in floats."""
+    alone: :func:`_fold_powers`'s recurrence, in its order, in floats.
+    Returns the arm's new ``(z, xbar_x, xbar_y, S)``."""
     mean = state.mean
     mx = mean.item(k, 0)
     my = mean.item(k, 1)
@@ -390,10 +439,12 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
     f = p / z1
     mx += f * dx
     my += f * dy
-    state.S[k] += p * (dx * (x0 - mx) + dy * (x1 - my))
+    S1 = state.S.item(k) + p * (dx * (x0 - mx) + dy * (x1 - my))
+    state.S[k] = S1
     mean[k, 0] = mx
     mean[k, 1] = my
     state.z[k] = z1
+    return z1, mx, my, S1
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,8 +505,10 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
         env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
                                           T).__next__
     fill = _policy_fill(kind, K, state.mc_samples)
-    policy_noise = (None if fill is None else
-                    rng_streams.in_blocks(rng_pol, *fill, T).__next__)
+    policy_noise = (None if fill is None else _round_noise(
+        kind, rng_streams.in_blocks(rng_pol, *fill, T).__next__))
+    # a Thompson baseline's posteriors follow each fold; the oracle has none
+    refresh = getattr(policy_noise, "refresh", lambda *folded: None)
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
     means, variances, gaps = instance.means, instance.variances, instance.gaps
@@ -479,7 +532,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
                 else:
                     x0, x1 = _draw_arm(mean_x[play], mean_y[play],
                                        var[play], env_noise())
-                    _fold_arm(state, play, 1.0, x0, x1)
+                    refresh(play, *_fold_arm(state, play, 1.0, x0, x1))
             else:
                 if play is not dense:
                     dense = play
@@ -520,8 +573,8 @@ def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     """The profile ``state.kind`` plays this round, drawing one round from
     ``rng`` if the round draws at all."""
     fill = _policy_fill(state.kind, state.n_arms, state.mc_samples)
-    play = _choose(state, None if fill is None else
-                   lambda: fill[0](rng, 1)[0])
+    play = _choose(state, None if fill is None else _round_noise(
+        state.kind, lambda: fill[0](rng, 1)[0]))
     if isinstance(play, np.ndarray):
         return PowerProfile(play)
     return PowerProfile.one_hot(state.n_arms, play)

@@ -372,11 +372,15 @@ def check_warmup_and_floor():
 def check_one_hot_baselines():
     """TS baselines and the oracle only ever put all the power on one arm,
     and the oracle's is on the best arm in every round."""
-    powers = {kind: _pair_run(kind, 60, seed=7)[1]
+    T = 60
+    powers = {kind: _pair_run(kind, T, seed=7)[1]
               for kind in (TS_KNOWN, TS_UNKNOWN, ORACLE)}
-    ok = all(np.all((p == 0.0) | (p == 1.0)) for p in powers.values())
-    ok = ok and not powers[ORACLE].any()
-    return ok, "profiles one-hot", "one-hot"
+    spread = [kind for kind, p in powers.items()
+              if not np.all((p == 0.0) | (p == 1.0))]
+    off_best = np.count_nonzero(powers[ORACLE])
+    return (not spread and not off_best,
+            f"spread: {', '.join(spread) or 'none'}; oracle off the best "
+            f"arm in {off_best} of {T} rounds", "one-hot")
 
 
 def check_policy_determinism():

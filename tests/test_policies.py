@@ -165,6 +165,19 @@ class TestTsBaselines:
             assert np.argmax(policy_step(st, SameDraws()).p) == 1
 
     @pytest.mark.parametrize("kind", ["ts_known", "ts_unknown"])
+    def test_public_calls_see_current_statistics(self, kind):
+        # statistics written between two calls reach the second one: no
+        # posterior constant outlives a policy_step
+        inst = instance()
+        st = make_policy(kind, inst)
+        rng = np.random.default_rng(9)
+        play_rounds(st, inst, rng, 40)
+        for k in (2, 1, 3, 0):
+            st.mean[:] = 0.0
+            st.mean[k] = [1e6, 0.0]
+            assert np.argmax(policy_step(st, rng).p) == k
+
+    @pytest.mark.parametrize("kind", ["ts_known", "ts_unknown"])
     def test_underfed_state_rejected(self, kind):
         # stats with too few one-hot observations cannot be sampled from
         st = PolicyState(kind, 2, sigma2=np.ones(2) if kind == "ts_known"

@@ -222,6 +222,9 @@ def test_one_hot_check_detects_spread_baselines(monkeypatch):
         else real(state, noise)))
     assert failing_among(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
+    assert one_hot_report() == (
+        "spread: ts_known, ts_unknown; oracle off the best arm in 0 of 60 "
+        "rounds")
 
 
 def test_one_hot_check_detects_oracle_off_the_best_arm(monkeypatch):
@@ -231,6 +234,13 @@ def test_one_hot_check_detects_oracle_off_the_best_arm(monkeypatch):
         1 if state.kind == "oracle" else real(state, noise)))
     assert failing_among(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
+    assert one_hot_report() == (
+        "spread: none; oracle off the best arm in 60 of 60 rounds")
+
+
+def one_hot_report() -> str:
+    """What ``one-hot-baselines`` observes."""
+    return verify.check_one_hot_baselines()[1]
 
 
 def uniforms_shared_by_all_samples(uniforms):
