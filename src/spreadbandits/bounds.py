@@ -31,16 +31,16 @@ from .errors import DimensionMismatch, InvalidParams
 from .core import BanditInstance, PowerProfile, _count
 
 def h(x: float) -> float:
-    """Cramer rate ``x - log(1 + x)`` of the scatter tail, for x > 0."""
-    if x <= 0.0:
-        raise InvalidParams(f"h needs x > 0, got {x}")
+    """Cramer rate ``x - log(1 + x)`` of the scatter tail, for finite x > 0."""
+    if not 0.0 < x < math.inf:
+        raise InvalidParams(f"h needs x > 0 and finite, got {x}")
     # log1p keeps the x -> 0 limit (x^2/2) accurate
     return x - math.log1p(x)
 
 
 def mean_exceedance(z: float, sigma2: float, eps: float) -> float:
     """Exact P(|xbar - mu| >= eps) given cumulative power z: exp(-z eps^2/sigma^2)."""
-    if z <= 0.0 or sigma2 <= 0.0 or eps <= 0.0:
+    if not (z > 0.0 and sigma2 > 0.0 and eps > 0.0):
         raise InvalidParams(
             f"z, sigma2, eps must be > 0, got ({z}, {sigma2}, {eps})")
     return math.exp(-z * eps * eps / sigma2)
@@ -49,7 +49,7 @@ def mean_exceedance(z: float, sigma2: float, eps: float) -> float:
 def variance_tail_bound(t: int, sigma2: float, eps: float) -> float:
     """Upper bound exp(-t h(eps/sigma^2)) on P(S(t) >= t (sigma^2 + eps))."""
     t = _count(t, "t")
-    if sigma2 <= 0.0 or eps <= 0.0:
+    if not (sigma2 > 0.0 and eps > 0.0):
         raise InvalidParams(
             f"t, sigma2, eps must be > 0, got ({t}, {sigma2}, {eps})")
     return math.exp(-t * h(eps / sigma2))
@@ -66,8 +66,8 @@ def chi2_cdf_even(dof: int, x):
     if dof < 2 or dof % 2 != 0:
         raise InvalidParams(f"need a positive even dof, got {dof}")
     xa = np.asarray(x, dtype=np.float64)
-    if np.any(xa < 0.0):
-        raise InvalidParams("chi-square CDF evaluated at x < 0")
+    if not np.all(xa >= 0.0):
+        raise InvalidParams("chi-square CDF evaluated at x < 0 or NaN")
     half = xa / 2.0
     term = np.exp(-half)
     acc = term.copy() if term.ndim else np.asarray(term)

@@ -28,7 +28,7 @@ K-vectors numpy's fixed cost per call, about a microsecond, outweighs the
 arithmetic, so the loop keeps such calls out of the rounds where it can:
 the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`)
 from per-arm posterior constants that each fold refreshes for the one arm
-it changes (:class:`_Posteriors`), a one-hot play draws and folds its one
+it changes (:class:`_PolicyDraws`), a one-hot play draws and folds its one
 arm in floats (:func:`_draw_arm`, :func:`_fold_arm`), and ``uniform`` and
 the warm-up of ``wts`` play one read-only flat profile per K
 (:func:`_flat`), whose regret step and noise scale the loop keeps while it
@@ -45,13 +45,13 @@ warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
 rounds in one call, with the part of each draw that does not depend on the
 state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
 radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``).
-:func:`_choose` takes the round's draws from a callable, which it calls
-only in a round that draws, and which :func:`_round_noise` wraps in the
-Thompson baselines' posteriors: :func:`run_replication` passes the
-``__next__`` of a :func:`spreadbandits.rng.in_blocks` generator, and
-:func:`policy_step` a call of the fill for one round, with posteriors built
-anew, so the public API takes from its generator exactly what one round
-takes and sees the statistics as they are.
+:func:`_choose` takes a kind's draws from one :class:`_PolicyDraws`, which
+it calls only in a round that draws: :func:`run_replication` makes one per
+replication over the ``__next__`` of a
+:func:`spreadbandits.rng.in_blocks` generator, and :func:`policy_step` a
+fresh one on every call over a fill of one round, so the public API takes
+from its generator exactly what one round takes and sees the statistics as
+they are.
 """
 
 import functools
@@ -271,9 +271,9 @@ def _flat(K: int) -> np.ndarray:
     return p
 
 
-def _wts_powers(state: PolicyState, noise) -> np.ndarray:
-    """The WTS power vector of the current round; ``noise()`` gives the
-    round's kernel uniforms."""
+def _wts_powers(state: PolicyState, post) -> np.ndarray:
+    """The WTS power vector of the current round; ``post.draws()`` gives
+    the round's kernel uniforms."""
     z, S = state.z, state.S
     K = z.shape[0]
     t = state.round
@@ -288,21 +288,22 @@ def _wts_powers(state: PolicyState, noise) -> np.ndarray:
             f"arm {k} statistics degenerate at round {t} "
             f"(z={z[k]}, S={S[k]})")
     M = state.mc_samples
-    counts = _rho_counts(z, S, float(t), state.mean, M, noise())
+    counts = _rho_counts(z, S, float(t), state.mean, M, post.draws())
     q = np.maximum(counts / M, RHO_FLOOR / K)
     return q / np.add.reduce(q)
 
 
-class _Posteriors:
-    """A one-hot Thompson baseline's posteriors, for :func:`_ts_arm`:
-    ``draws()`` gives a round's draws, and ``consts`` holds per arm what
-    changes only when the arm is folded (``(xbar_x, xbar_y, sqrt(sigma2 /
-    (2 n)))`` for ``ts_known``; ``|xbar|^2`` for ``ts_unknown``, with ``S /
-    n`` and ``n - 2`` in the K-vectors ``scale`` and ``dof`` that
-    :func:`_radial_t_d2` takes).  :meth:`build` makes them after the
-    warm-up and :meth:`refresh` remakes an arm's from what
-    :func:`_fold_arm` returns, so a state changed any other way needs a
-    fresh instance."""
+class _PolicyDraws:
+    """A policy's draw source for :func:`_choose`: ``draws()`` gives a
+    round's draws of :func:`_policy_fill`, and ``draws`` is None for a kind
+    that draws nothing.  For the one-hot Thompson baselines (:func:`_ts_arm`)
+    ``consts`` also holds per arm what changes only when the arm is folded
+    (``(xbar_x, xbar_y, sqrt(sigma2 / (2 n)))`` for ``ts_known``;
+    ``|xbar|^2`` for ``ts_unknown``, with ``S / n`` and ``n - 2`` in the
+    K-vectors ``scale`` and ``dof`` that :func:`_radial_t_d2` takes).
+    :meth:`build` makes them after the warm-up and :meth:`refresh` remakes
+    an arm's from what :func:`_fold_arm` returns, so a state changed any
+    other way needs a fresh instance."""
 
     __slots__ = ("draws", "sigma2", "consts", "scale", "dof")
 
@@ -341,7 +342,7 @@ class _Posteriors:
             self.dof[k] = n - 2.0
 
 
-def _ts_arm(state: PolicyState, post: _Posteriors) -> int:
+def _ts_arm(state: PolicyState, post: _PolicyDraws) -> int:
     """The arm the one-hot Thompson baseline plays this round, sampled from
     ``post`` once the warm-up is over.
 
@@ -387,29 +388,21 @@ def _first_max(values: list) -> int:
     return best_k
 
 
-def _choose(state: PolicyState, noise):
+def _choose(state: PolicyState, post: _PolicyDraws):
     """The current round's play: a power vector (``wts``, ``uniform``) or
     the index of the arm that gets all the power (the one-hot kinds).
 
-    ``noise`` is what :func:`_round_noise` makes of the kind's draws of
-    :func:`_policy_fill`; a round that draws takes one round of them, and
-    a round that does not takes none.
+    A round that draws takes one round of ``post.draws()``, and a round
+    that does not takes none.
     """
     kind = state.kind
     if kind == WTS:
-        return _wts_powers(state, noise)
+        return _wts_powers(state, post)
     if kind == ORACLE:
         return state.k_star
     if kind == UNIFORM:
         return _flat(state.n_arms)
-    return _ts_arm(state, noise)
-
-
-def _round_noise(kind: str, draws):
-    """The ``noise`` :func:`_choose` takes for ``kind``, whose rounds take
-    ``draws()``: a :class:`_Posteriors` over them for the Thompson
-    baselines, the draws themselves otherwise."""
-    return _Posteriors(draws) if kind in (TS_KNOWN, TS_UNKNOWN) else draws
+    return _ts_arm(state, post)
 
 
 def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
@@ -505,10 +498,10 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
         env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
                                           T).__next__
     fill = _policy_fill(kind, K, state.mc_samples)
-    policy_noise = (None if fill is None else _round_noise(
-        kind, rng_streams.in_blocks(rng_pol, *fill, T).__next__))
-    # a Thompson baseline's posteriors follow each fold; the oracle has none
-    refresh = getattr(policy_noise, "refresh", lambda *folded: None)
+    post = _PolicyDraws(None if fill is None else
+                        rng_streams.in_blocks(rng_pol, *fill, T).__next__)
+    # a Thompson baseline's constants follow each fold
+    refresh = post.refresh
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
     means, variances, gaps = instance.means, instance.variances, instance.gaps
@@ -524,7 +517,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     dense = dense_step = scale = None
     for t in range(1, T + 1):
         try:
-            play = _choose(state, policy_noise)
+            play = _choose(state, post)
             if type(play) is int:
                 step = gap[play]
                 if env_noise is None:
@@ -573,8 +566,8 @@ def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     """The profile ``state.kind`` plays this round, drawing one round from
     ``rng`` if the round draws at all."""
     fill = _policy_fill(state.kind, state.n_arms, state.mc_samples)
-    play = _choose(state, None if fill is None else _round_noise(
-        state.kind, lambda: fill[0](rng, 1)[0]))
+    play = _choose(state, _PolicyDraws(
+        None if fill is None else lambda: fill[0](rng, 1)[0]))
     if isinstance(play, np.ndarray):
         return PowerProfile(play)
     return PowerProfile.one_hot(state.n_arms, play)
@@ -585,7 +578,8 @@ def observe(state: PolicyState, profile: PowerProfile, x) -> PolicyState:
 
     ``x`` is the round's (K, 2) observation array, as :func:`sample_outcome`
     returns it: row k is read when ``p_k > 0``, and must then be finite,
-    and is ignored otherwise.
+    and is ignored otherwise.  Each powered arm is folded by
+    :func:`_fold_arm`, bit-equal to the round engine's :func:`_fold_powers`.
     """
     K = state.n_arms
     p = profile.p
@@ -603,11 +597,8 @@ def observe(state: PolicyState, profile: PowerProfile, x) -> PolicyState:
     if not np.isfinite(x[active]).all():
         raise MissingObservation(
             "an arm with positive power needs a finite observation")
-    if active.all():
-        _fold_powers(state, p, x)
-    else:
-        for k in np.flatnonzero(active).tolist():
-            _fold_arm(state, k, p.item(k), x.item(k, 0), x.item(k, 1))
+    for k in np.flatnonzero(active).tolist():
+        _fold_arm(state, k, p.item(k), x.item(k, 0), x.item(k, 1))
     state.round += 1
     return state
 

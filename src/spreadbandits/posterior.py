@@ -95,7 +95,7 @@ def posterior_density(params: PosteriorParams, mu) -> np.ndarray:
 def posterior_radial_tail(params: PosteriorParams, delta) -> np.ndarray:
     """P(|snapshot of mu - xbar| >= delta), exact and monotone in delta."""
     delta = np.asarray(delta, dtype=np.float64)
-    if np.any(delta < 0.0):
+    if not np.all(delta >= 0.0):
         raise InvalidParams("delta must be nonnegative")
     q = 1.0 + params.z * delta * delta / params.S
     return q ** (-(params.t - 3.0))

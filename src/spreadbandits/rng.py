@@ -14,8 +14,6 @@ holds the values that one draw per round would give, in the same order,
 whatever the block size.
 """
 
-import math
-
 import numpy as np
 
 # purposes of the per-replication streams
@@ -37,24 +35,22 @@ def stream(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def in_blocks(rng: np.random.Generator, fill, round_bytes: int,
-              rounds: int | None = None):
-    """Yield a stream's draws a round at a time, filled in blocks.
+def in_blocks(rng: np.random.Generator, fill, round_bytes: int, rounds: int):
+    """Yield the first ``rounds`` rounds of a stream's draws one at a time,
+    filled in blocks.
 
     ``fill(rng, n)`` draws ``n`` rounds from ``rng`` and returns them
     indexed by round; a round takes ``round_bytes`` bytes, so a block holds
-    ``max(1, BLOCK_BYTES // round_bytes)`` rounds.  ``rounds`` is the most
-    rounds the caller can read (no bound when None): the last block is cut
-    to it, so no round past it is drawn, and the generator ends there.  The
-    first block is drawn by the first ``next``, and each later one when the
-    last is used up.  A used block stays alive until the next fill returns:
-    a block is larger than malloc's mmap threshold, and freeing it before
-    the fill costs the fill fresh pages.
+    ``max(1, BLOCK_BYTES // round_bytes)`` rounds.  The last block is cut
+    to ``rounds``, so no round past it is drawn, and the generator ends
+    there.  The first block is drawn by the first ``next``, and each later
+    one when the last is used up.  A used block stays alive until the next
+    fill returns: a block is larger than malloc's mmap threshold, and
+    freeing it before the fill costs the fill fresh pages.
     """
     per_block = max(1, BLOCK_BYTES // int(round_bytes))
-    left = math.inf if rounds is None else rounds
-    while left > 0:
-        n = min(per_block, left)
-        left -= n
+    while rounds > 0:
+        n = min(per_block, rounds)
+        rounds -= n
         block = fill(rng, n)
         yield from block

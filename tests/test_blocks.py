@@ -40,7 +40,7 @@ def check_fill(monkeypatch, make_fill, block, case="PCG64"):
         fill, nbytes = make_fill(K)
         rng, ref = make_generator(case, K), make_generator(case, K)
         monkeypatch.setattr(rng_streams, "BLOCK_BYTES", block * nbytes)
-        reader = rng_streams.in_blocks(rng, fill, nbytes)
+        reader = rng_streams.in_blocks(rng, fill, nbytes, 3 * block)
         for i in range(3 * block):
             np.testing.assert_array_equal(next(reader), fill(ref, 1)[0],
                                           err_msg=f"K={K} round {i}")
@@ -74,18 +74,36 @@ def test_env_noise(monkeypatch, kind, block):
     check_fill(monkeypatch, lambda K: _env_fill(kind, K), block)
 
 
-def test_block_size_follows_the_byte_budget(monkeypatch):
+def counted_fill(calls):
+    """A fill of 32-byte rounds that records how many rounds each call
+    draws in ``calls``."""
     def fill(rng, rounds):
         calls.append(rounds)
         return rng.random((rounds, 4))
+    return fill
 
+
+def test_block_size_follows_the_byte_budget(monkeypatch):
+    # a bound past the last full block, so only the budget sets the sizes
     for budget, per_block in ((1, 1), (32, 1), (95, 2), (96, 3)):
         calls = []
         monkeypatch.setattr(rng_streams, "BLOCK_BYTES", budget)
-        reader = rng_streams.in_blocks(np.random.default_rng(0), fill, 32)
+        reader = rng_streams.in_blocks(np.random.default_rng(0),
+                                       counted_fill(calls), 32, 64)
         for _ in range(7):
             next(reader)
         assert calls == [per_block] * -(-7 // per_block)
+
+
+def test_last_block_is_cut_to_the_bound(monkeypatch):
+    # 3 rounds a block, 7 rounds in all: the third fill draws only the
+    # seventh round, and the reader then ends
+    calls = []
+    monkeypatch.setattr(rng_streams, "BLOCK_BYTES", 96)
+    reader = rng_streams.in_blocks(np.random.default_rng(0),
+                                   counted_fill(calls), 32, 7)
+    assert len(list(reader)) == 7
+    assert calls == [3, 3, 1]
 
 
 @pytest.mark.parametrize("mode", ["simulate", "gain"])

@@ -33,7 +33,7 @@ class TestH:
         vals = np.array([h(x) for x in xs])
         assert np.all(np.diff(vals) > 0.0)
 
-    @pytest.mark.parametrize("x", [0.0, -0.5, -2.0])
+    @pytest.mark.parametrize("x", [0.0, -0.5, -2.0, math.nan, math.inf])
     def test_nonpositive_rejected(self, x):
         with pytest.raises(InvalidParams, match="h needs x > 0"):
             h(x)
@@ -62,6 +62,7 @@ class TestMeanExceedance:
         dict(z=0.0, sigma2=1.0, eps=1.0),
         dict(z=1.0, sigma2=0.0, eps=1.0),
         dict(z=1.0, sigma2=1.0, eps=0.0),
+        dict(z=math.nan, sigma2=1.0, eps=1.0),
     ])
     def test_domain(self, kw):
         with pytest.raises(InvalidParams, match="z, sigma2, eps must be"):
@@ -80,8 +81,12 @@ class TestVarianceTailBound:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_eps_must_be_positive(self):
-        with pytest.raises(InvalidParams, match="t, sigma2, eps must be"):
-            variance_tail_bound(10, 1.0, 0.0)
+        for sigma2, eps in ((1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(InvalidParams, match="t, sigma2, eps must be"):
+                variance_tail_bound(10, sigma2, eps)
+        # an infinite eps / sigma^2 has no finite rate
+        with pytest.raises(InvalidParams, match="h needs x > 0"):
+            variance_tail_bound(10, 1.0, math.inf)
         for bad in (2.5, True):  # t is a count, never truncated
             with pytest.raises(InvalidParams, match="t must be an integer"):
                 variance_tail_bound(bad, 1.0, 1.0)
@@ -118,8 +123,9 @@ class TestChi2CdfEven:
                 chi2_cdf_even(bad, 1.0)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(InvalidParams, match="at x < 0"):
-            chi2_cdf_even(2, -0.001)
+        for x in (-0.001, math.nan, [1.0, math.nan]):
+            with pytest.raises(InvalidParams, match="at x < 0"):
+                chi2_cdf_even(2, x)
 
 
 class TestRegretStep:

@@ -94,8 +94,9 @@ class TestRadialTail:
             == pytest.approx(0.04)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(InvalidParams):
-            posterior_radial_tail(params(), -0.1)
+        for delta in (-0.1, math.nan):
+            with pytest.raises(InvalidParams):
+                posterior_radial_tail(params(), delta)
 
 
 class _HalfRng:

@@ -263,6 +263,16 @@ def latest_observation_only(fold):
     return corrupted
 
 
+def last_arm_wins_moved_to_arm_0(counts):
+    # a belief that starves the last arm: only the floor still powers it
+    def corrupted(*args):
+        c = counts(*args).copy()
+        c[0] += c[-1]
+        c[-1] = 0
+        return c
+    return corrupted
+
+
 # each check without another control, and the function its control
 # patches, by module
 CONTROLS = {
@@ -271,6 +281,8 @@ CONTROLS = {
     "gain-noiseless-recovery": (policies, "gain_estimate", beta_hat_scaled),
     # the gain-mode oracle still folds every observation
     "gain-oracle-mse-slope": (policies, "_fold_arm", latest_observation_only),
+    "wts-power-divergence": (policies, "_rho_counts",
+                             last_arm_wins_moved_to_arm_0),
 }
 
 
