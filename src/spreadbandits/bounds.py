@@ -68,7 +68,8 @@ def chi2_cdf_even(dof: int, x):
     xa = np.asarray(x, dtype=np.float64)
     if not np.all(xa >= 0.0):
         raise InvalidParams("chi-square CDF evaluated at x < 0 or NaN")
-    half = xa / 2.0
+    # +inf becomes the largest float, whose exp(-half) is 0 and 0 * half too
+    half = np.minimum(xa, np.finfo(np.float64).max) / 2.0
     term = np.exp(-half)
     acc = term.copy() if term.ndim else np.asarray(term)
     for i in range(1, dof // 2):

@@ -2,18 +2,19 @@
 
     spreadbandits simulate --config run.cfg [--seed N] [--out PATH] [--workers N]
     spreadbandits gain     --config gain.cfg [--seed N] [--out PATH] [--workers N]
-    spreadbandits verify   [--config cfg] [--seed N]
+    spreadbandits verify   [--seed N]
 
 ``simulate`` and ``gain`` read a config file (see
 :mod:`spreadbandits.config`), run every configured policy for every
 replication, and write ``<out>.csv`` / ``<out>.json``.  ``verify`` runs the
-statistical self-check suite and exits nonzero if any check fails.
+statistical self-check suite on its seed and exits nonzero if any check
+fails; it reads no config.
 """
 
 import argparse
 import sys
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import BanditError, ValidationError
 from .runner import run
 from .verify import all_passed, run_verification
@@ -38,25 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        "replications, and no more than the usable CPUs "
                        "(default 1)")
     v = sub.add_parser("verify", help="run the statistical self-check suite")
-    v.add_argument("--config", default=None, metavar="PATH",
-                   help="optional config (mode = verify) supplying the seed")
-    v.add_argument("--seed", type=int, default=None,
-                   help="override the suite seed (default 0)")
+    v.add_argument("--seed", type=int, default=0,
+                   help="the suite seed (default 0)")
     return parser
 
 
-def _load(path: str, command: str) -> RunConfig:
-    """The config at ``path``, which must be written for ``command``."""
-    cfg = load_config(path)
-    if cfg.mode != command:
-        raise ValidationError(
-            f"config mode is {cfg.mode!r} but the {command!r} command "
-            f"was invoked")
-    return cfg
-
-
 def _cmd_run(args) -> int:
-    cfg = _load(args.config, args.command)
+    cfg = load_config(args.config)
+    if cfg.mode != args.command:
+        raise ValidationError(
+            f"config mode is {cfg.mode!r} but the {args.command!r} command "
+            f"was invoked")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -69,18 +62,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = 0
-    if args.config is not None:
-        seed = _load(args.config, "verify").seed
-    if args.seed is not None:
-        seed = args.seed
-    results = run_verification(seed=seed)
+    results = run_verification(seed=args.seed)
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         print(f"{tag} {r.name:<32} {r.observed} (require {r.requirement})")
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results)} checks: {len(results) - n_fail} passed, "
-          f"{n_fail} failed (seed {seed})")
+          f"{n_fail} failed (seed {args.seed})")
     return 0 if all_passed(results) else 1
 
 

@@ -17,17 +17,16 @@ Example::
     out = results/run1
 
 Unknown sections or keys are errors, never ignored.  ``mode`` selects
-``simulate`` (needs ``[instance]``), ``gain`` (needs ``[gain]`` with
-``g_coeffs``, ``h_coeffs``, ``K``), or ``verify`` (needs neither).  ``out``
+``simulate`` (needs ``[instance]``) or ``gain`` (needs ``[gain]`` with
+``g_coeffs``, ``h_coeffs``, ``K``); ``T`` is required in both.  ``out``
 is a path prefix: the runner writes ``<out>.csv`` and ``<out>.json``.
 
 A :class:`RunConfig` is valid by construction: its ``__post_init__`` checks
-every run rule and builds the bandit instance of a simulate or gain run,
-once, so a config built in Python, or changed with
-:meth:`RunConfig.replaced`, meets the same rules as one read from a file,
-and a run reads its instance off ``cfg.instance`` (and a gain run its
-FIR problem off ``cfg.problem``).  :func:`parse_config` turns the text
-into typed fields.
+every run rule and builds the bandit instance of the run, once, so a
+config built in Python, or changed with :meth:`RunConfig.replaced`, meets
+the same rules as one read from a file, and a run reads its instance off
+``cfg.instance`` (and a gain run its FIR problem off ``cfg.problem``).
+:func:`parse_config` turns the text into typed fields.
 """
 
 import ast
@@ -42,9 +41,9 @@ from .errors import InvalidParams, ParseError, ValidationError
 from .policies import KINDS, MC_SAMPLES
 from .sysid import grid_from_fir
 
-MODES = ("simulate", "gain", "verify")
+MODES = ("simulate", "gain")
 # the section each mode reads besides [run]
-MODE_SECTION = {"simulate": "instance", "gain": "gain", "verify": None}
+MODE_SECTION = {"simulate": "instance", "gain": "gain"}
 
 # smallest accepted value of each integer field
 _MINIMA = {"T": 4, "replications": 1, "seed": 0, "mc_samples": 1, "thin": 1,
@@ -65,9 +64,9 @@ class RunConfig:
     ``[run]``.  ``__post_init__`` raises :class:`ValidationError`, naming
     the field, on any rule a config file must meet, and builds the
     :class:`spreadbandits.core.BanditInstance` the fields describe as the
-    attribute ``instance`` (None in verify mode) and, in gain mode, the
+    attribute ``instance`` and, in gain mode, the
     :class:`spreadbandits.sysid.GainProblem` whose instance it is as the
-    attribute ``problem`` (None in the other modes), both read-only like
+    attribute ``problem`` (None in simulate mode), both read-only like
     every field.  They are not fields, so :meth:`replaced` builds them anew
     and :meth:`to_dict` does not echo them.
     """
@@ -109,7 +108,7 @@ class RunConfig:
         if not self.out:
             raise ValidationError("out: empty path")
         used = MODE_SECTION[self.mode]
-        if used is not None and self.T is None:
+        if self.T is None:
             raise ValidationError(f"T: required in {self.mode} mode")
         for f in fields(self):
             section = f.metadata.get("section")
@@ -121,11 +120,11 @@ class RunConfig:
             if section != used and getattr(self, f.name) is not None:
                 raise ValidationError(f"{f.name}: not used in {self.mode} "
                                       f"mode")
-        instance = problem = None
+        problem = None
         try:
             if self.mode == "simulate":
                 instance = new_instance(self.means, self.variances)
-            elif self.mode == "gain":
+            else:
                 problem = grid_from_fir(self.g_coeffs, self.h_coeffs, self.K)
                 instance = problem.instance
         except (TypeError, ValueError) as e:  # a BanditError is a ValueError

@@ -31,13 +31,13 @@ from per-arm posterior constants that each fold refreshes for the one arm
 it changes (:class:`_PolicyDraws`), a one-hot play draws and folds its one
 arm in floats (:func:`_draw_arm`, :func:`_fold_arm`), and ``uniform`` and
 the warm-up of ``wts`` play one read-only flat profile per K
-(:func:`_flat`), whose regret step and noise scale the loop keeps while it
-repeats.  In simulate mode nothing reads the statistics of a
-:data:`FIXED_PLAYS` kind, whose play only adds to ``z``: it draws and
-folds nothing.  The public :func:`policy_step`, :func:`sample_outcome` and
-:func:`observe` run the same functions one round at a time, validated: the
-play as a :class:`PowerProfile`, and the observations as one (K, 2) array
-whose row for an arm with zero power is NaN, checked once on the way in.
+(:func:`_flat`), whose regret step the loop keeps while it repeats.  In
+simulate mode nothing reads the statistics of a :data:`FIXED_PLAYS` kind,
+whose play only adds to ``z``: it draws and folds nothing.  The public
+:func:`policy_step`, :func:`sample_outcome` and :func:`observe` run the
+same functions one round at a time, validated: the play as a
+:class:`PowerProfile`, and the observations as one (K, 2) array whose row
+for an arm with zero power is NaN, checked once on the way in.
 A state is owned by exactly one simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
@@ -187,22 +187,14 @@ def make_policy(kind: str, instance: BanditInstance,
 # ---------------------------------------------------------------------------
 # the observation model: draws of the arms' outcomes
 
-def _noise_scale(variances, p) -> np.ndarray:
-    """The (K, 1) noise scale ``sqrt(variances / (2 p))`` of arms with
-    powers ``p > 0``: the half of :func:`_draw` that depends on the play
-    alone, which the round engine keeps while a dense play repeats."""
-    return np.sqrt(variances / (2.0 * p))[:, None]
-
-
 def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
     """Observations of arms with powers ``p > 0``, one row per arm.
 
     Row k is ``means[k] + sqrt(variances[k] / (2 p[k])) * noise[k]``, with
     ``noise`` a standard normal (rows, 2) array.  Unvalidated: the core of
-    :func:`sample_outcome`; the round engine's dense path keeps the
-    :func:`_noise_scale` of a repeated play and adds its noise itself.
+    :func:`sample_outcome` and of the round engine's dense play.
     """
-    return means + _noise_scale(variances, p) * noise
+    return means + np.sqrt(variances / (2.0 * p))[:, None] * noise
 
 
 def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
@@ -469,9 +461,9 @@ class ReplicationOut:
 
 
 def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
-    """Play ``kind`` for one replication of ``cfg.T`` rounds on the
-    instance of the simulate or gain :class:`spreadbandits.RunConfig`
-    ``cfg``.
+    """Play ``kind`` for one replication of ``cfg.T`` rounds on
+    ``cfg.instance``, the instance that the :class:`spreadbandits.RunConfig`
+    ``cfg`` built.
 
     Records every ``thin``-th round and round T, the regret at T, per-arm
     cumulative power at rounds T//10 and T and, in gain mode, the
@@ -483,8 +475,6 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     again with its policy, replication and round in the message.
     """
     instance = cfg.instance
-    if instance is None:
-        raise ValidationError(f"no instance to play in {cfg.mode} mode")
     rng_pol = rng_streams.stream(cfg.seed, KIND_IDS[kind], replication,
                                  rng_streams.POLICY)
     K = instance.n_arms
@@ -513,8 +503,8 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     ts, steps, cums, betas, k_hats = [], [], [], [], []
     snaps = {}
     cum = 0.0
-    # the last dense play, its regret step and its noise scale
-    dense = dense_step = scale = None
+    # the last dense play and its regret step
+    dense = dense_step = None
     for t in range(1, T + 1):
         try:
             play = _choose(state, post)
@@ -530,12 +520,12 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
                 if play is not dense:
                     dense = play
                     dense_step = float(gaps @ play)
-                    scale = _noise_scale(variances, play)
                 step = dense_step
                 if env_noise is None:
                     state.z += play
                 else:
-                    _fold_powers(state, play, means + scale * env_noise())
+                    _fold_powers(state, play,
+                                 _draw(means, variances, play, env_noise()))
             state.round += 1
             cum += step
             if t % thin == 0 or t == T:

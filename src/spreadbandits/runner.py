@@ -165,14 +165,11 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
     """Execute every (policy, replication) task and write the trace files.
 
     ``cfg`` was checked, and its instance built, when it was built (see
-    :class:`RunConfig`), so the rules left here are that it describes a
-    simulate or gain run and that ``workers`` is a count, by the rule of
-    every other count.  The tasks run in
+    :class:`RunConfig`), so the one rule left here is that ``workers`` is
+    a count, by the rule of every other count.  The tasks run in
     ``min(workers, tasks, max(2, usable CPUs))`` processes, or in this one
     when that is 1.
     """
-    if cfg.mode not in ("simulate", "gain"):
-        raise ValidationError(f"run() handles simulate/gain, not {cfg.mode!r}")
     try:
         workers = _count(workers, "workers")
     except InvalidParams as e:

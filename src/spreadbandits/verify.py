@@ -29,8 +29,8 @@ from .bounds import (
     variance_tail_bound,
 )
 from .config import RunConfig
-from .core import PowerProfile, batch_stats, new_instance
-from .errors import TiedOptimum
+from .core import PowerProfile, _count, batch_stats, new_instance
+from .errors import InvalidParams, TiedOptimum, ValidationError
 from .policies import (
     RHO_FLOOR,
     TS_KNOWN,
@@ -559,8 +559,12 @@ _CHECKS = (
 def run_verification(seed: int = 0) -> list:
     """Run every check in ``_CHECKS``; returns the list of
     :class:`CheckResult`, where a check that raises gives a failed one.
-    ``seed`` must be an integer >= 0, as in any :class:`RunConfig`."""
-    RunConfig(mode="verify", seed=seed)
+    ``seed`` must be an integer >= 0, by the rule of every count; a
+    :class:`ValidationError` says so before any check runs."""
+    try:
+        seed = _count(seed, "seed", 0)
+    except InvalidParams as e:
+        raise ValidationError(str(e)) from None
 
     def attempt(name, check, *key):  # key: the index of the check's stream
         try:

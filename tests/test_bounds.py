@@ -101,11 +101,13 @@ class TestChi2CdfEven:
             0.95, abs=1e-6)
 
     def test_against_scipy(self):
-        xs = np.linspace(0.0, 100.0, 401)
+        xs = np.append(np.linspace(0.0, 100.0, 401), math.inf)
         for dof in range(2, 42, 2):
             want = scipy.stats.chi2.cdf(xs, dof)
             got = np.array([chi2_cdf_even(dof, x) for x in xs])
             np.testing.assert_allclose(got, want, atol=1e-8)
+            np.testing.assert_allclose(chi2_cdf_even(dof, xs), want,
+                                       atol=1e-8)
 
     def test_nondecreasing(self):
         xs = np.linspace(0.0, 60.0, 600)

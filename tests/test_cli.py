@@ -149,13 +149,11 @@ class TestVerify:
         assert f"FAIL {'check-1':<32} obs 1 (require req 1)" in out
         assert "2 checks: 1 passed, 1 failed (seed 0)" in out
 
-    def test_seed_forwarded(self, monkeypatch, tmp_path, capsys):
+    def test_seed_forwarded(self, monkeypatch, capsys):
         seeds = fake_suite(monkeypatch, True)
-        cfg = write(tmp_path, "verify.cfg", "[run]\nmode = verify\nseed = 5\n")
         assert main(["verify", "--seed", "7"]) == 0
-        assert main(["verify", "--config", cfg]) == 0
-        assert main(["verify", "--config", cfg, "--seed", "9"]) == 0
-        assert seeds == [7, 5, 9]
+        assert main(["verify", "--seed", "9"]) == 0
+        assert seeds == [7, 9]
         assert "(seed 9)" in capsys.readouterr().out
 
     def test_negative_seed_rejected(self, capsys):
@@ -163,6 +161,9 @@ class TestVerify:
         assert main(["verify", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_config_must_be_verify_mode(self, tmp_path, sim_cfg, capsys):
-        assert main(["verify", "--config", sim_cfg]) == 2
-        assert "simulate" in capsys.readouterr().err
+    def test_config_is_a_usage_error(self, sim_cfg, capsys):
+        # the suite reads no config: its one input is --seed
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", sim_cfg])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err

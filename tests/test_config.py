@@ -57,11 +57,6 @@ class TestDefaults:
         np.testing.assert_array_equal(cfg.g_coeffs, [0.5, 0.5])
         np.testing.assert_array_equal(cfg.h_coeffs, [1.0])
 
-    def test_verify_minimal(self):
-        cfg = parse_config("[run]\nmode = verify\n")
-        assert cfg.mode == "verify"
-        assert cfg.T is None
-
     def test_all_run_keys(self):
         cfg = parse_config(SIMULATE.replace(
             "T = 100",
@@ -102,7 +97,10 @@ class TestValidationErrors:
         self.assert_names("[run]\nT = 10\n", "mode")
 
     def test_unknown_mode(self):
-        self.assert_names("[run]\nmode = train\nT = 10\n", "mode")
+        for mode in ("train", "verify"):
+            self.assert_names(f"[run]\nmode = {mode}\nT = 10\n",
+                              f"mode: expected one of simulate, gain, "
+                              f"got {mode!r}")
 
     def test_simulate_needs_instance(self):
         self.assert_names("[run]\nmode = simulate\nT = 10\n", "instance")
@@ -121,11 +119,6 @@ class TestValidationErrors:
 
     def test_gain_missing_field(self):
         self.assert_names(GAIN.replace("h_coeffs = [1.0]\n", ""), "h_coeffs")
-
-    def test_verify_rejects_instance(self):
-        self.assert_names(
-            "[instance]\nmeans = [[2.0, 0.0], [1.0, 0.0]]\n"
-            "variances = [1.0, 1.0]\n\n[run]\nmode = verify\n", "instance")
 
     def test_unknown_policy_named(self):
         self.assert_names(
@@ -163,11 +156,11 @@ class TestValidationErrors:
 class TestParseErrors:
     def test_bad_syntax(self):
         with pytest.raises(ParseError):
-            parse_config("[run\nmode = verify\n")
+            parse_config("[run\nmode = simulate\n")
 
     def test_duplicate_section(self):
         with pytest.raises(ParseError):
-            parse_config("[run]\nmode = verify\n[run]\nseed = 1\n")
+            parse_config("[run]\nmode = simulate\n[run]\nseed = 1\n")
 
     def test_key_before_any_section(self):
         with pytest.raises(ParseError):
@@ -196,7 +189,7 @@ class TestRoundTrip:
         assert d["K"] == 4
         # built in Python, an integer field may be a numpy int or 3.0
         for seed in (np.int64(3), 3.0):
-            cfg = RunConfig(mode="verify", seed=seed)
+            cfg = RunConfig(**VALID["simulate"], seed=seed)
             assert json.dumps(cfg.to_dict()["seed"]) == "3" == str(cfg.seed)
 
     def test_comments_ignored(self):
@@ -204,7 +197,7 @@ class TestRoundTrip:
         assert cfg.seed == 4
 
     def test_direct_construction(self):
-        cfg = RunConfig(mode="verify")
+        cfg = RunConfig(**VALID["simulate"])
         assert cfg.policies == ("wts",)
 
     def test_direct_construction_rejects_other_mode_field(self):
@@ -218,7 +211,7 @@ class TestRoundTrip:
         # the value may come from --seed or a Python call, not a [run] line
         with pytest.raises(ValidationError,
                            match=r"^seed must be an integer >= 0, got -1$"):
-            RunConfig(mode="verify", seed=-1)
+            RunConfig(**VALID["simulate"], seed=-1)
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_shipped_configs_load(self, path):
@@ -260,7 +253,6 @@ class TestInstance:
             assert "instance" not in cfg.to_dict()
             with pytest.raises(AttributeError):
                 cfg.instance = None
-        assert RunConfig(mode="verify").instance is None
 
     def test_gain_problem_is_not_a_field(self):
         cfg = RunConfig(**VALID["gain"])
@@ -271,7 +263,6 @@ class TestInstance:
         with pytest.raises(AttributeError):
             cfg.problem = None
         assert RunConfig(**VALID["simulate"]).problem is None
-        assert RunConfig(mode="verify").problem is None
 
     def test_instance_keeps_its_own_arrays(self):
         # a write to the caller's array cannot leave k_star and gaps stale

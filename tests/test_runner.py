@@ -227,12 +227,6 @@ class TestReplication:
 
 
 class TestRunValidation:
-    def test_verify_mode_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            run(RunConfig(mode="verify"), quiet=True)
-        with pytest.raises(ValidationError, match="no instance"):
-            run_replication(RunConfig(mode="verify"), "wts", 0)
-
     def test_missing_horizon_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             run(sim_config(tmp_path, T=None), quiet=True)

@@ -9,7 +9,7 @@ import pytest
 from spreadbandits import policies, posterior, verify
 from spreadbandits import rng as rng_streams
 from spreadbandits.cli import main
-from spreadbandits.errors import InsufficientData, TiedOptimum
+from spreadbandits.errors import InsufficientData, TiedOptimum, ValidationError
 from spreadbandits.posterior import PosteriorParams
 from spreadbandits.verify import (
     CheckResult,
@@ -195,6 +195,17 @@ def test_raising_check_reported_as_failed(monkeypatch):
     assert [(r.name, r.observed) for r in results if not r.passed] == [
         ("wts-power-divergence", "raised InsufficientData: S=nan")]
     assert main(["verify"]) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seed_refused_before_any_check(monkeypatch, seed):
+    ran = []
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("stub", lambda: ran.append(1) or (True, "ok", "ok"))])
+    with pytest.raises(ValidationError,
+                       match=rf"^seed must be an integer >= 0, got {seed}$"):
+        run_verification(seed)
+    assert ran == []
 
 
 def failing_among(monkeypatch, *names):
