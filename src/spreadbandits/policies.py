@@ -29,9 +29,8 @@ arithmetic, so the loop keeps such calls out of the rounds where it can:
 the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`)
 from per-arm posterior constants that each fold refreshes for the one arm
 it changes (:class:`_PolicyDraws`), a one-hot play draws and folds its one
-arm in floats (:func:`_draw_arm`, :func:`_fold_arm`), and ``uniform`` and
-the warm-up of ``wts`` play one read-only flat profile per K
-(:func:`_flat`), whose regret step the loop keeps while it repeats.  In
+arm in floats (:func:`_fold_arm`), and ``uniform`` and the warm-up of
+``wts`` play one read-only flat profile per K (:func:`_flat`).  In
 simulate mode nothing reads the statistics of a :data:`FIXED_PLAYS` kind,
 whose play only adds to ``z``: it draws and folds nothing.  The public
 :func:`policy_step`, :func:`sample_outcome` and :func:`observe` run the
@@ -111,13 +110,14 @@ class PolicyState:
     power-weighted statistics ``(z, xbar, S)`` of :mod:`spreadbandits.core`,
     one entry per arm.  ``round`` is the 1-based index of the round about to
     be played.  ``mc_samples`` is given for ``wts``, ``sigma2`` for
-    ``ts_known`` and ``k_star`` for ``oracle``, and each is None otherwise:
-    a state missing its kind's fact, or holding another kind's, is refused.
-    The facts are checked here, once: ``mc_samples`` is a count,
-    ``sigma2`` a finite, positive vector of length K (kept as a read-only
-    float64 copy), and ``k_star`` a count below K.  A state holds nothing
-    else: the draws a round takes come from :func:`_policy_fill`, outside
-    it.
+    ``ts_known`` and ``k_star`` for ``oracle``, and each is None otherwise.
+    The facts are checked here, once: ``mc_samples`` is a count (so a
+    ``wts`` state without one raises :class:`InvalidParams`), ``sigma2`` a
+    finite, positive vector of length K (kept as a read-only float64 copy),
+    and ``k_star`` a count below K; a missing ``sigma2`` or ``k_star``, or
+    another kind's fact, raises :class:`ValidationError`.  A state holds
+    nothing else: the draws a round takes come from :func:`_policy_fill`,
+    outside it.
     """
 
     __slots__ = ("kind", "round", "z", "S", "mean", "mc_samples", "sigma2",
@@ -195,15 +195,6 @@ def _draw(means, variances, p, noise: np.ndarray) -> np.ndarray:
     :func:`sample_outcome` and of the round engine's dense play.
     """
     return means + np.sqrt(variances / (2.0 * p))[:, None] * noise
-
-
-def _draw_arm(mx: float, my: float, var: float, g) -> tuple:
-    """:func:`_draw` for one arm at full power, in Python floats: the round
-    engine's one-hot path (same arithmetic as a one-row :func:`_draw` with
-    ``p = 1``, on the pair ``g`` of its noise)."""
-    g0, g1 = g
-    sd = math.sqrt(var / 2.0)
-    return mx + sd * g0, my + sd * g1
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +486,18 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
     means, variances, gaps = instance.means, instance.variances, instance.gaps
-    # a one-hot play reads its arm's constants as Python floats;
-    # gaps[k] is bit-equal to gaps @ one_hot(k)
+    # a one-hot play reads its arm's constants as Python floats: gaps[k] is
+    # bit-equal to gaps @ one_hot(k), and sd[k] is _draw's scale at p = 1
     mean_x, mean_y = means[:, 0].tolist(), means[:, 1].tolist()
-    var, gap = variances.tolist(), gaps.tolist()
+    gap = gaps.tolist()
+    sd = [math.sqrt(v / 2.0) for v in variances.tolist()]
+    # the one dense play that repeats: uniform, and the warm-up of wts
+    flat = _flat(K)
+    flat_step = float(gaps @ flat)
 
     ts, steps, cums, betas, k_hats = [], [], [], [], []
     snaps = {}
     cum = 0.0
-    # the last dense play and its regret step
-    dense = dense_step = None
     for t in range(1, T + 1):
         try:
             play = _choose(state, post)
@@ -513,14 +506,12 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
                 if env_noise is None:
                     state.z[play] += 1.0
                 else:
-                    x0, x1 = _draw_arm(mean_x[play], mean_y[play],
-                                       var[play], env_noise())
-                    refresh(play, *_fold_arm(state, play, 1.0, x0, x1))
+                    g0, g1 = env_noise()
+                    refresh(play, *_fold_arm(
+                        state, play, 1.0, mean_x[play] + sd[play] * g0,
+                        mean_y[play] + sd[play] * g1))
             else:
-                if play is not dense:
-                    dense = play
-                    dense_step = float(gaps @ play)
-                step = dense_step
+                step = flat_step if play is flat else float(gaps @ play)
                 if env_noise is None:
                     state.z += play
                 else:

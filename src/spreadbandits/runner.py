@@ -112,9 +112,10 @@ def _float_texts(col: np.ndarray) -> list:
     return np.array(texts, dtype=object)[at].tolist()
 
 
-def _write_csv(path: str, outputs, gain_mode: bool) -> str:
+def _write_csv(path: str, outputs) -> str:
     """Write the trace of ``outputs``, one block of rows per task, in order,
-    and return the sha256 of the bytes written.
+    and return the sha256 of the bytes written.  The trace has the gain
+    columns when the tasks carry them.
 
     A block is built column by column: each distinct value of a float
     column is formatted once (:func:`_float_texts`), the ``t`` column once
@@ -123,6 +124,7 @@ def _write_csv(path: str, outputs, gain_mode: bool) -> str:
     written ``ROWS_PER_WRITE`` at a time, so neither the file nor a whole
     block of it is held as text.
     """
+    gain_mode = outputs[0].beta_hat is not None
     header = "policy,replication,t,regret_step,regret_cum"
     if gain_mode:
         header += ",beta_hat,k_hat"
@@ -202,7 +204,7 @@ def run(cfg: RunConfig, workers: int = 1, quiet: bool = False) -> RunReport:
         os.makedirs(out_dir, exist_ok=True)
     csv_path = cfg.out + ".csv"
     json_path = cfg.out + ".json"
-    csv_sha256 = _write_csv(csv_path, outputs, cfg.mode == "gain")
+    csv_sha256 = _write_csv(csv_path, outputs)
 
     consts = lower_bound_constants(cfg.instance)
     elapsed = time.perf_counter() - t0

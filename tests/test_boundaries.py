@@ -1,8 +1,9 @@
-"""The private names one module of the package imports from another.
+"""The names one module of the package imports from another.
 
 The round engine lives in ``policies``; the other modules reach into it,
 and it into ``posterior``, through the few private names listed here and no
-others.  Every module may import the one count rule, ``core._count``.
+others.  Every module may import the one count rule, ``core._count``.  And
+no module imports a name it never uses.
 """
 
 import ast
@@ -35,3 +36,37 @@ def private_imports() -> dict:
 
 def test_private_imports_between_modules():
     assert private_imports() == ALLOWED
+
+
+# (module, imported names it never uses): runner keeps these as its own
+# attributes only because perfbench's install() wraps them there; ROADMAP
+# item 1's probe in the loop removes this exception
+UNUSED = {
+    "runner": {"gain_estimate", "observe", "policy_step", "regret_step",
+               "sample_outcome"},
+}
+
+
+def unused_imports() -> dict:
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(a.asname or a.name.split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["__all__"]):
+                # a re-export is a use
+                used.update(ast.literal_eval(node.value))
+        if imported - used:
+            found[path.stem] = imported - used
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports() == UNUSED

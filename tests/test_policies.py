@@ -65,6 +65,10 @@ class TestMakePolicy:
                          ("uniform", {"mc_samples": 16})):
             with pytest.raises(ValidationError, match="(required|unused) by"):
                 PolicyState(kind, 3, **kw)
+        # wts's count rule runs first, so a missing mc_samples is a bad count
+        with pytest.raises(InvalidParams, match="mc_samples must be an "
+                           "integer >= 1, got None"):
+            PolicyState("wts", 3)
         with pytest.raises(InvalidParams, match="n_arms must be an integer"):
             PolicyState("uniform", 2.5)
 

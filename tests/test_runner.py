@@ -327,7 +327,7 @@ class TestCsvWriter:
                              ids=["simulate", "gain"])
     def test_bytes_match_reference_writer(self, tmp_path, gain_mode):
         outs = hand_built_outputs(gain_mode)
-        runner_mod._write_csv(str(tmp_path / "new.csv"), outs, gain_mode)
+        runner_mod._write_csv(str(tmp_path / "new.csv"), outs)
         reference_write_csv(str(tmp_path / "ref.csv"), outs, gain_mode)
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "ref.csv").read_bytes()
@@ -360,7 +360,7 @@ class TestCsvWriter:
             t = np.arange(1, len(vals) + 1, dtype=np.int64) * thin
             outs.append(policies.ReplicationOut(
                 policy, rep, t, steps, np.roll(vals, -i), 0.0, {}, **gain))
-        runner_mod._write_csv(str(tmp_path / "new.csv"), outs, gain_mode)
+        runner_mod._write_csv(str(tmp_path / "new.csv"), outs)
         reference_write_csv(str(tmp_path / "ref.csv"), outs, gain_mode)
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "ref.csv").read_bytes()
@@ -369,7 +369,7 @@ class TestCsvWriter:
     def test_failed_write_leaves_old_file(self, tmp_path):
         outs = hand_built_outputs(False)
         path = tmp_path / "trace.csv"
-        runner_mod._write_csv(str(path), outs, False)
+        runner_mod._write_csv(str(path), outs)
         before = path.read_bytes()
         # the second task's block fails to format, after the first block
         # has gone to the file
@@ -379,7 +379,7 @@ class TestCsvWriter:
             "uniform", 0, outs[1].t, steps, outs[1].regret_cum, 0.0, {})
         for target in (path, tmp_path / "fresh.csv"):
             with pytest.raises(TypeError):
-                runner_mod._write_csv(str(target), [outs[0], bad], False)
+                runner_mod._write_csv(str(target), [outs[0], bad])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 

@@ -116,20 +116,25 @@ CORRUPTIONS = (
 )
 
 
-def passes(check) -> bool:
-    """Whether ``check`` passes, on a fresh generator if it draws one."""
+def outcome(check) -> tuple:
+    """``(passed, observed)`` of ``check``, on a fresh generator if it
+    draws one."""
     n_streams = len(inspect.signature(check).parameters)
-    return check(*[np.random.default_rng(0)] * n_streams)[0]
+    return check(*[np.random.default_rng(0)] * n_streams)[:2]
 
 
 def test_suite_detects_corrupted_variance_law(monkeypatch):
     # sanity check of the harness itself: each check passes on the clean
-    # code and fails once the function its control names is corrupted
+    # code and fails once the function its control names is corrupted,
+    # and says so in what it observes
     for check, name, corrupt in CORRUPTIONS:
-        assert passes(check), check.__name__
+        passed, clean = outcome(check)
+        assert passed, check.__name__
         with monkeypatch.context() as m:
             m.setattr(verify, name, corrupt(getattr(verify, name)))
-            assert not passes(check), (check.__name__, corrupt.__name__)
+            passed, observed = outcome(check)
+        assert not passed, (check.__name__, corrupt.__name__)
+        assert observed != clean, (check.__name__, corrupt.__name__)
 
 
 @pytest.mark.parametrize("seed", [8, 10, 11, 12])
@@ -209,10 +214,15 @@ def test_seed_refused_before_any_check(monkeypatch, seed):
 
 
 def failing_among(monkeypatch, *names):
-    """The checks among ``names`` that fail at seed 0, by name."""
+    """The results of the checks among ``names`` that fail at seed 0."""
     monkeypatch.setattr(verify, "_CHECKS",
                         [c for c in verify._CHECKS if c[0] in names])
-    return tuple(r.name for r in run_verification(0) if not r.passed)
+    return tuple(r for r in run_verification(0) if not r.passed)
+
+
+def failing_names(monkeypatch, *names):
+    """The checks among ``names`` that fail at seed 0, by name."""
+    return tuple(r.name for r in failing_among(monkeypatch, *names))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -222,7 +232,7 @@ def test_wts_checks_detect_missing_floor(monkeypatch):
     monkeypatch.setattr(policies, "RHO_FLOOR", 0.0)
     names = ("wts-warmup-and-floor", "policy-determinism",
              "wts-belief-concentration")
-    assert failing_among(monkeypatch, *names) == names
+    assert failing_names(monkeypatch, *names) == names
 
 
 def test_one_hot_check_detects_spread_baselines(monkeypatch):
@@ -231,7 +241,7 @@ def test_one_hot_check_detects_spread_baselines(monkeypatch):
     monkeypatch.setattr(policies, "_choose", lambda state, noise: (
         np.full(2, 0.5) if state.kind in ("ts_known", "ts_unknown")
         else real(state, noise)))
-    assert failing_among(monkeypatch, "one-hot-baselines") == (
+    assert failing_names(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
     assert one_hot_report() == (
         "spread: ts_known, ts_unknown; oracle off the best arm in 0 of 60 "
@@ -243,7 +253,7 @@ def test_one_hot_check_detects_oracle_off_the_best_arm(monkeypatch):
     real = policies._choose
     monkeypatch.setattr(policies, "_choose", lambda state, noise: (
         1 if state.kind == "oracle" else real(state, noise)))
-    assert failing_among(monkeypatch, "one-hot-baselines") == (
+    assert failing_names(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
     assert one_hot_report() == (
         "spread: none; oracle off the best arm in 60 of 60 rounds")
@@ -298,7 +308,11 @@ CONTROLS = {
 
 
 @pytest.mark.parametrize("name", CONTROLS)
-def test_check_detects_its_defect(monkeypatch, name):
+def test_check_detects_its_defect(monkeypatch, results, name):
     module, attr, corrupt = CONTROLS[name]
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-    assert failing_among(monkeypatch, name) == (name,)
+    failing = failing_among(monkeypatch, name)
+    assert [r.name for r in failing] == [name]
+    # a check run alone at seed 0 draws the streams of the whole suite's run
+    clean = next(r.observed for r in results if r.name == name)
+    assert failing[0].observed != clean
