@@ -247,11 +247,9 @@ def _ts_unknown_fill(rng: np.random.Generator, K: int, rounds: int) -> list:
 
 @functools.cache
 def _flat(K: int) -> np.ndarray:
-    """The uniform power vector of K arms: one read-only array per K, so
-    the round engine sees a repeated play as the same object."""
-    p = np.full(K, 1.0 / K)
-    p.setflags(write=False)
-    return p
+    """The read-only powers of :meth:`PowerProfile.uniform`, one array per
+    K, so the round engine sees a repeated play as the same object."""
+    return PowerProfile.uniform(K).p
 
 
 def _wts_powers(state: PolicyState, post) -> np.ndarray:
@@ -443,12 +441,13 @@ class ReplicationOut:
     beta_hat: np.ndarray | None = None
     k_hat: np.ndarray | None = None
 
-    def columns(self) -> list:
-        """The recorded columns in CSV order, after policy and replication."""
-        cols = [self.t, self.regret_step, self.regret_cum]
+    def columns(self) -> dict:
+        """The recorded columns by name, in CSV order after policy and
+        replication: the gain columns follow in gain mode only."""
+        names = ["t", "regret_step", "regret_cum"]
         if self.beta_hat is not None:
-            cols += [self.beta_hat, self.k_hat]
-        return cols
+            names += ["beta_hat", "k_hat"]
+        return {name: getattr(self, name) for name in names}
 
 
 def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:

@@ -10,27 +10,25 @@ disturbing existing ones.  A stream is read in blocks of rounds, none
 past round T, and a round's draws are the same whatever the block size,
 so the trace is too.
 
-``run`` writes ``<out>.csv`` with header
-
-    policy,replication,t,regret_step,regret_cum[,beta_hat,k_hat]
-
-(the two extra columns in gain mode), rows sorted by (policy, replication,
-t), floats at 17 significant digits, plus a ``<out>.json`` sidecar carrying
-the config echo, the instance's bound constants, a per-policy horizon
-summary, ``csv_sha256``, the sha256 of the CSV bytes the run wrote, and
-the numpy build that drew them (``numpy_version``, and ``simd``: numpy's
-baseline SIMD targets and the dispatch targets enabled on this CPU).
+``run`` writes ``<out>.csv`` with the columns ``policy``, ``replication``
+and those of :meth:`spreadbandits.policies.ReplicationOut.columns`, rows
+sorted by (policy, replication, t), floats at 17 significant digits, plus
+a ``<out>.json`` sidecar carrying the config echo, the instance's bound
+constants, a per-policy horizon summary, ``csv_sha256``, the sha256 of
+the CSV bytes the run wrote, and the numpy build that drew them
+(``numpy_version``, and ``simd``: numpy's baseline SIMD targets and the
+dispatch targets enabled on this CPU).
 Each file is written to a temporary file in the same directory and moved
 into place, so an interrupted run leaves the previous file or none, never
 a partial one; a run that fails between the two files leaves a CSV whose
 hash is not the sidecar's.
 
 ``RunReport.outputs[i]`` is the task's
-:class:`spreadbandits.policies.ReplicationOut`, which carries its recorded
-rounds as columns, one array each: ``t``, ``regret_step``, ``regret_cum``
-and, in gain mode, ``beta_hat`` and ``k_hat``.  These columns are the one
-in-memory form of a trace; the CSV is written from them in this process,
-a task at a time, with each distinct value of a column formatted once.
+:class:`spreadbandits.policies.ReplicationOut`, in (policy, replication)
+order, which carries its recorded rounds as the arrays of its
+``columns()``.  These columns are the one in-memory form of a trace; the
+CSV is written from them in this process, a task at a time, with each
+distinct value of a float column formatted once.
 """
 
 import hashlib
@@ -112,37 +110,37 @@ def _float_texts(col: np.ndarray) -> list:
     return np.array(texts, dtype=object)[at].tolist()
 
 
+def _texts(col: np.ndarray) -> list:
+    """The CSV texts of a trace column: ``str`` of each int64 entry, and
+    :func:`_float_texts` of any other column."""
+    return (list(map(str, col.tolist())) if col.dtype == np.int64
+            else _float_texts(col))
+
+
 def _write_csv(path: str, outputs) -> str:
     """Write the trace of ``outputs``, one block of rows per task, in order,
-    and return the sha256 of the bytes written.  The trace has the gain
-    columns when the tasks carry them.
+    and return the sha256 of the bytes written.  The columns are the tasks'
+    :meth:`ReplicationOut.columns`, after ``policy`` and ``replication``.
 
-    A block is built column by column: each distinct value of a float
-    column is formatted once (:func:`_float_texts`), the ``t`` column once
-    for all the tasks that record the same rounds, and a row is one
+    A block is built column by column (:func:`_texts`), the ``t`` column
+    once for all the tasks that record the same rounds, and a row is one
     ``",".join`` of its texts.  The rows of a block are joined, hashed and
     written ``ROWS_PER_WRITE`` at a time, so neither the file nor a whole
     block of it is held as text.
     """
-    gain_mode = outputs[0].beta_hat is not None
-    header = "policy,replication,t,regret_step,regret_cum"
-    if gain_mode:
-        header += ",beta_hat,k_hat"
     digest = hashlib.sha256()
     t = t_texts = None
     with _replacing(path) as fh:
         def write(text):
             fh.write(text)
             digest.update(text.encode())
-        write(header + "\n")
+        write(",".join(["policy", "replication", *outputs[0].columns()])
+              + "\n")
         for out in outputs:
             if t is None or not np.array_equal(t, out.t):
-                t, t_texts = out.t, list(map(str, out.t.tolist()))
-            cols = [t_texts, _float_texts(out.regret_step),
-                    _float_texts(out.regret_cum)]
-            if gain_mode:
-                cols += [_float_texts(out.beta_hat),
-                         list(map(str, out.k_hat.tolist()))]
+                t, t_texts = out.t, _texts(out.t)
+            cols = [t_texts if name == "t" else _texts(col)
+                    for name, col in out.columns().items()]
             rows = map(",".join,
                        zip(repeat(f"{out.policy},{out.replication}"), *cols))
             for _ in range(0, len(out.t), ROWS_PER_WRITE):

@@ -38,6 +38,7 @@ from .policies import (
     ORACLE,
     UNIFORM,
     WTS,
+    WTS_WARMUP_ROUNDS,
     PolicyState,
     _draw,
     _fold_arm,
@@ -361,7 +362,7 @@ def check_warmup_and_floor():
     a floored belief of 1 and F/2 leaves, and some round plays exactly
     that, so the floor binds.  Arm 0's power is read as 1 - p_1."""
     _, p = _pair_run(WTS, 2000, seed=123)
-    uniform_ok = bool(np.all(p[:3] == 0.5))
+    uniform_ok = bool(np.all(p[:WTS_WARMUP_ROUNDS] == 0.5))
     min_power = float(np.minimum(p, 1.0 - p).min())
     floor = (RHO_FLOOR / 2.0) / (1.0 + RHO_FLOOR / 2.0)
     return (uniform_ok and min_power == floor,
@@ -385,7 +386,8 @@ def check_one_hot_baselines():
 
 def check_policy_determinism():
     """Equal seeds reproduce the exact recorded trace of a WTS run."""
-    a, b, c = (_pair_run(WTS, 150, seed)[0].columns() for seed in (42, 42, 43))
+    a, b, c = (_pair_run(WTS, 150, seed)[0].columns().values()
+               for seed in (42, 42, 43))
     same = all(map(np.array_equal, a, b))
     differs = not all(map(np.array_equal, a, c))
     return (same and differs,
@@ -398,15 +400,14 @@ def check_power_divergence():
     means, var = _INSTANCE3
     cfg = RunConfig(mode="simulate", T=10000, means=means, variances=var,
                     policies=(WTS,), thin=10000)
-    ok = True
     worst_z = np.inf
-    for seed in range(20):
+    for seed in range(20):  # up to the first seed that fails
         out = run_replication(cfg.replaced(seed=seed), WTS, 0)
-        z_early = out.z_snapshots[1000]
         z_final = out.z_snapshots[10000]
-        ok &= bool(np.all(z_final > z_early))
         worst_z = min(worst_z, float(z_final.min()))
-    ok &= worst_z >= 3.0
+        ok = bool(np.all(z_final > out.z_snapshots[1000])) and worst_z >= 3.0
+        if not ok:
+            break
     return (ok,
             f"min z(T) {worst_z:.2f}", ">= 3 and > z(T/10)")
 

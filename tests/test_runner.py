@@ -177,8 +177,13 @@ class TestDeterminism:
         a = run(sim_config(tmp_path, "a",
                            policies=("wts", "uniform")), quiet=True)
         b = run(sim_config(tmp_path, "b",
-                           policies=("uniform", "wts")), quiet=True)
+                           policies=("uniform", "wts")), workers=2,
+                quiet=True)
         assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
+        # the outputs come in the CSV's (policy, replication) order
+        for report in (a, b):
+            assert [(o.policy, o.replication) for o in report.outputs] == [
+                (kind, rep) for kind in ("uniform", "wts") for rep in range(3)]
 
     def test_policies_isolated_seeds(self, tmp_path):
         # dropping one policy leaves the other's trace bytes unchanged
@@ -417,12 +422,15 @@ class TestColumns:
         assert out.t[-1] == cfg.T
         assert out.regret_cum[-1] == out.final_cum
         assert out.beta_hat is None and out.k_hat is None
+        assert list(out.columns()) == ["t", "regret_step", "regret_cum"]
 
     def test_gain_layout(self, tmp_path):
         out = run_replication(gain_config(tmp_path, thin=7), "wts", 1)
         assert out.beta_hat.dtype == np.float64
         assert out.k_hat.dtype == np.int64
         assert out.beta_hat.shape == out.k_hat.shape == out.t.shape == (5,)
+        assert list(out.columns()) == ["t", "regret_step", "regret_cum",
+                                       "beta_hat", "k_hat"]
 
     def test_pickled_size_per_row(self, tmp_path):
         # a task sends its rows back to the parent by pickle: three
