@@ -26,24 +26,26 @@ replication of a :class:`spreadbandits.RunConfig` on the instance the
 config built, and returns the :class:`ReplicationOut` it fills.  On
 K-vectors numpy's fixed cost per call, about a microsecond, outweighs the
 arithmetic, so the loop keeps such calls out of the rounds where it can:
-the Thompson baselines choose their arm in Python floats (:func:`_ts_arm`)
-from per-arm posterior constants that each fold refreshes for the one arm
-it changes (:class:`_PolicyDraws`), a one-hot play draws and folds its one
-arm in floats (:func:`_fold_arm`), and ``uniform`` and the warm-up of
-``wts`` play one read-only flat profile per K (:func:`_flat`).  In
-simulate mode nothing reads the statistics of a :data:`FIXED_PLAYS` kind,
-whose play only adds to ``z``: it draws and folds nothing.  The public
-:func:`policy_step`, :func:`sample_outcome` and :func:`observe` run the
-same functions one round at a time, validated: the play as a
-:class:`PowerProfile`, and the observations as one (K, 2) array whose row
-for an arm with zero power is NaN, checked once on the way in.
+a Thompson baseline takes its arms from one generator per replication
+(:func:`_ts_arms`), which samples in Python floats from per-arm posterior
+constants that each fold refreshes for the one arm it changes
+(:class:`_PolicyDraws`), a one-hot play draws and folds its one arm in
+floats, through the state's float views (:func:`_fold_arm`), and
+``uniform`` and the warm-up of ``wts`` play one read-only flat profile
+per K (:func:`_flat`).  In simulate mode nothing reads the statistics of
+a :data:`FIXED_PLAYS` kind, whose play only adds to ``z``: it draws and
+folds nothing.  The public :func:`policy_step`, :func:`sample_outcome` and
+:func:`observe` run the same functions one round at a time, validated: the
+play as a :class:`PowerProfile`, and the observations as one (K, 2) array
+whose row for an arm with zero power is NaN, checked once on the way in.
 A state is owned by exactly one simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
 rounds in one call, with the part of each draw that does not depend on the
 state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
-radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``).
+radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``); a one-hot
+fill holds a round's floats in one tuple, and no list per round.
 :func:`_choose` takes a kind's draws from one :class:`_PolicyDraws`, which
 it calls only in a round that draws: :func:`run_replication` makes one per
 replication over the ``__next__`` of a
@@ -117,11 +119,13 @@ class PolicyState:
     and ``k_star`` a count below K; a missing ``sigma2`` or ``k_star``, or
     another kind's fact, raises :class:`ValidationError`.  A state holds
     nothing else: the draws a round takes come from :func:`_policy_fill`,
-    outside it.
+    outside it.  ``z_f``, ``S_f`` and ``mean_f`` are float memoryviews of
+    ``z``, ``S`` and the flat ``mean``: one more access path to the same
+    memory, through which the one-arm fold reads and writes floats.
     """
 
-    __slots__ = ("kind", "round", "z", "S", "mean", "mc_samples", "sigma2",
-                 "k_star")
+    __slots__ = ("kind", "round", "z", "S", "mean", "z_f", "S_f", "mean_f",
+                 "mc_samples", "sigma2", "k_star")
 
     def __init__(self, kind: str, n_arms: int,
                  mc_samples: int | None = None, sigma2=None,
@@ -153,9 +157,9 @@ class PolicyState:
                     f"k_star must be below n_arms = {K}, got {k_star}")
         self.kind = kind
         self.round = 1
-        self.z = np.zeros(K)
-        self.S = np.zeros(K)
-        self.mean = np.zeros((K, 2))
+        self.z, self.S, self.mean = np.zeros(K), np.zeros(K), np.zeros((K, 2))
+        self.z_f, self.S_f, self.mean_f = map(
+            memoryview, (self.z, self.S, self.mean.reshape(-1)))
         self.mc_samples = mc_samples
         self.sigma2 = sigma2
         self.k_star = k_star
@@ -210,18 +214,21 @@ def _policy_fill(kind: str, K: int, M: int | None):
     (:func:`_kernel_uniforms`), which its round overwrites, ``ts_known`` a
     standard normal 2-vector per arm, ``ts_unknown`` per arm the ``e`` of
     :func:`_radial_t_fill` and the cosine of its angle.  The Thompson
-    fills hand out Python lists for :func:`_ts_arm`'s float loop; only
-    ``ts_unknown``'s ``e`` stays a numpy K-vector, for
-    :func:`_radial_t_d2`.
+    fills hand out a round's floats as one tuple (:func:`_float_rows`):
+    ``ts_known``'s 2K normals in arm order, and ``ts_unknown``'s K cosines,
+    paired with its ``e`` as a numpy K-vector for :func:`_radial_t_d2`.
     """
     if kind == WTS:
         return ((lambda rng, rounds: _kernel_uniforms(rng, K, M, rounds)),
                 8 * K * M)
     if kind == TS_KNOWN:
         return ((lambda rng, rounds:
-                 rng.normal(size=(rounds, K, DIM)).tolist()), 16 * K)
+                 _float_rows(rng.normal(size=(rounds, K * DIM)))), 16 * K)
     if kind == TS_UNKNOWN:
-        return (lambda rng, rounds: _ts_unknown_fill(rng, K, rounds)), 16 * K
+        def fill(rng, rounds):
+            e, theta = _radial_t_fill(rng, K, rounds)
+            return list(zip(e, _float_rows(np.cos(theta))))
+        return fill, 16 * K
     return None
 
 
@@ -230,19 +237,16 @@ def _env_fill(kind: str, K: int):
 
     ``wts`` and ``uniform`` power every arm, so a round draws a (K, 2)
     standard normal array; the one-hot kinds power one arm, whose noise
-    pair the fill gives as a list of two Python floats.
+    pair the fill gives as a tuple of two Python floats.
     """
     if kind in (WTS, UNIFORM):
         return (lambda rng, rounds: rng.normal(size=(rounds, K, DIM))), 16 * K
-    return (lambda rng, rounds: rng.normal(size=(rounds, DIM)).tolist()), 16
+    return (lambda rng, n: _float_rows(rng.normal(size=(n, DIM)))), 16
 
 
-def _ts_unknown_fill(rng: np.random.Generator, K: int, rounds: int) -> list:
-    """``rounds`` pairs, one per round: the ``e`` of K radial-t draws
-    (:func:`_radial_t_fill`) as a numpy vector and their ``cos(theta)`` as a
-    list of floats."""
-    e, theta = _radial_t_fill(rng, K, rounds)
-    return list(zip(e, np.cos(theta).tolist()))
+def _float_rows(a: np.ndarray) -> list:
+    """Rows of the 2-D ``a`` as tuples of floats, from one ``.tolist()``."""
+    return list(zip(*[iter(a.ravel().tolist())] * a.shape[1]))
 
 
 @functools.cache
@@ -277,40 +281,28 @@ def _wts_powers(state: PolicyState, post) -> np.ndarray:
 class _PolicyDraws:
     """A policy's draw source for :func:`_choose`: ``draws()`` gives a
     round's draws of :func:`_policy_fill`, and ``draws`` is None for a kind
-    that draws nothing.  For the one-hot Thompson baselines (:func:`_ts_arm`)
-    ``consts`` also holds per arm what changes only when the arm is folded
-    (``(xbar_x, xbar_y, sqrt(sigma2 / (2 n)))`` for ``ts_known``;
+    that draws nothing.  For the one-hot Thompson baselines ``arms`` is the
+    :func:`_ts_arms` generator of the arms they play, and None for any
+    other kind; ``consts`` holds per arm what changes only when the arm is
+    folded (``(xbar_x, xbar_y, sqrt(sigma2 / (2 n)))`` for ``ts_known``;
     ``|xbar|^2`` for ``ts_unknown``, with ``S / n`` and ``n - 2`` in the
     K-vectors ``scale`` and ``dof`` that :func:`_radial_t_d2` takes).
-    :meth:`build` makes them after the warm-up and :meth:`refresh` remakes
-    an arm's from what :func:`_fold_arm` returns, so a state changed any
-    other way needs a fresh instance."""
+    :func:`_ts_arms` makes them after the warm-up and :meth:`refresh`
+    remakes an arm's from what :func:`_fold_arm` returns, so a state
+    changed any other way needs a fresh instance."""
 
-    __slots__ = ("draws", "sigma2", "consts", "scale", "dof")
+    __slots__ = ("draws", "arms", "sigma2", "consts", "scale", "dof")
 
-    def __init__(self, draws):
+    def __init__(self, state: PolicyState, draws):
         self.draws = draws
         self.consts = None
-
-    def build(self, state: PolicyState) -> None:
-        n_obs = np.rint(state.z)
-        known = state.kind == TS_KNOWN
-        if np.minimum.reduce(n_obs) < (1 if known else 3):
-            raise InsufficientData(f"{state.kind} needs every arm observed "
-                                   f"{'once' if known else 'three times'}")
-        K = state.n_arms
-        self.sigma2 = state.sigma2.tolist() if known else None
-        self.consts = [None] * K
-        self.scale, self.dof = np.empty(K), np.empty(K)
-        for k, (n, (mx, my), S) in enumerate(zip(
-                n_obs.tolist(), state.mean.tolist(), state.S.tolist())):
-            self.refresh(k, n, mx, my, S)
+        self.arms = (_ts_arms(state, self)
+                     if state.kind in (TS_KNOWN, TS_UNKNOWN) else None)
 
     def refresh(self, k: int, n: float, mx: float, my: float,
                 S: float) -> None:
-        """Remake arm k's constants from its ``n`` one-hot observations,
-        the whole number ``z`` that folds at power 1 keep, and its mean
-        and scatter; nothing before :meth:`build`."""
+        """Remake arm k's constants, once built, from its mean, scatter and
+        ``n`` one-hot observations (the whole ``z`` of folds at power 1)."""
         if self.consts is None:
             return
         if self.sigma2 is not None:
@@ -323,50 +315,55 @@ class _PolicyDraws:
             self.dof[k] = n - 2.0
 
 
-def _ts_arm(state: PolicyState, post: _PolicyDraws) -> int:
-    """The arm the one-hot Thompson baseline plays this round, sampled from
-    ``post`` once the warm-up is over.
-
-    Each sampled norm is computed in Python floats in the order of the
-    array expression it stands for (``xbar + scale * g``, then ``dx * dx +
-    dy * dy``; ``b2 + 2 sqrt(b2 d2) cos``, then ``+ d2``), so the choice is
-    bit for bit that of numpy.
-    """
+def _ts_arms(state: PolicyState, post: _PolicyDraws):
+    """Yield the one-hot Thompson baseline's arm of each round: round-robin
+    through the warm-up, then the first largest (the first NaN, if any, as
+    in ``np.argmax``) of one sampled norm per arm from the constants of
+    ``post``, built once.  A norm is numpy's to the bit: Python floats in
+    the order of the array expression it stands for (``xbar + scale * g``,
+    then ``dx * dx + dy * dy``; ``b2 + 2 sqrt(b2 d2) cos``, then ``+ d2``)."""
     K = state.n_arms
-    t = state.round
-    passes = (TS_KNOWN_WARMUP_PASSES if state.kind == TS_KNOWN
-              else TS_UNKNOWN_WARMUP_PASSES)
-    if t <= passes * K:
-        return (t - 1) % K
-    if post.consts is None:
-        post.build(state)
-    norms2 = []
-    if post.sigma2 is not None:
-        for (mx, my, scale), (g0, g1) in zip(post.consts, post.draws()):
-            dx = mx + scale * g0
-            dy = my + scale * g1
-            norms2.append(dx * dx + dy * dy)
-    else:
-        e, cos = post.draws()
-        d2 = _radial_t_d2(e, post.scale, post.dof)
-        for b2, c, d in zip(post.consts, cos, d2.tolist()):
-            norms2.append(b2 + 2.0 * math.sqrt(b2 * d) * c + d)
-    return _first_max(norms2)
-
-
-def _first_max(values: list) -> int:
-    """``np.argmax`` of a list of floats: the first index of the largest
-    value, or of the first NaN if there is one."""
-    best_k, best = 0, values[0]
-    if best != best:
-        return 0
-    for k in range(1, len(values)):
-        v = values[k]
-        if v > best:
-            best_k, best = k, v
-        elif v != v:
-            return k
-    return best_k
+    known = state.kind == TS_KNOWN
+    passes = TS_KNOWN_WARMUP_PASSES if known else TS_UNKNOWN_WARMUP_PASSES
+    while state.round <= passes * K:
+        yield (state.round - 1) % K
+    n_obs = np.rint(state.z)
+    if np.minimum.reduce(n_obs) < passes:
+        raise InsufficientData(f"{state.kind} needs every arm observed "
+                               f"{'once' if known else 'three times'}")
+    post.sigma2 = state.sigma2.tolist() if known else None
+    consts = post.consts = [None] * K
+    scale, dof = post.scale, post.dof = np.empty(K), np.empty(K)
+    for k, (n, (mx, my), S) in enumerate(zip(
+            n_obs.tolist(), state.mean.tolist(), state.S.tolist())):
+        post.refresh(k, n, mx, my, S)
+    draws, sqrt, inf = post.draws, math.sqrt, math.inf
+    while True:
+        best_k, best = 0, -inf
+        if known:
+            g = draws()
+            i = 0  # arm i // 2's normals are g[i] and g[i + 1]
+            for mx, my, s in consts:
+                dx = mx + s * g[i]
+                dy = my + s * g[i + 1]
+                v = dx * dx + dy * dy
+                if not v <= best:  # larger, or NaN
+                    best_k, best = i >> 1, v
+                    if v != v:
+                        break
+                i += 2
+        else:
+            e, cos = draws()
+            k = 0
+            for b2, c, d in zip(consts, cos,
+                                _radial_t_d2(e, scale, dof).tolist()):
+                v = b2 + 2.0 * sqrt(b2 * d) * c + d
+                if not v <= best:
+                    best_k, best = k, v
+                    if v != v:
+                        break
+                k += 1
+        yield best_k
 
 
 def _choose(state: PolicyState, post: _PolicyDraws):
@@ -383,7 +380,7 @@ def _choose(state: PolicyState, post: _PolicyDraws):
         return state.k_star
     if kind == UNIFORM:
         return _flat(state.n_arms)
-    return _ts_arm(state, post)
+    return next(post.arms)
 
 
 def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
@@ -402,22 +399,23 @@ def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
 def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
               x1: float) -> tuple:
     """Fold one observation (x0, x1) at power ``p > 0`` into arm ``k``
-    alone: :func:`_fold_powers`'s recurrence, in its order, in floats.
-    Returns the arm's new ``(z, xbar_x, xbar_y, S)``."""
-    mean = state.mean
-    mx = mean.item(k, 0)
-    my = mean.item(k, 1)
-    z1 = state.z.item(k) + p
+    alone by :func:`_fold_powers`'s recurrence, in its order, in floats
+    through the state's views; returns its ``(z, xbar_x, xbar_y, S)``."""
+    z, S, mean = state.z_f, state.S_f, state.mean_f
+    i = 2 * k
+    mx = mean[i]
+    my = mean[i + 1]
+    z1 = z[k] + p
     dx = x0 - mx
     dy = x1 - my
     f = p / z1
     mx += f * dx
     my += f * dy
-    S1 = state.S.item(k) + p * (dx * (x0 - mx) + dy * (x1 - my))
-    state.S[k] = S1
-    mean[k, 0] = mx
-    mean[k, 1] = my
-    state.z[k] = z1
+    S1 = S[k] + p * (dx * (x0 - mx) + dy * (x1 - my))
+    S[k] = S1
+    mean[i] = mx
+    mean[i + 1] = my
+    z[k] = z1
     return z1, mx, my, S1
 
 
@@ -478,7 +476,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
         env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
                                           T).__next__
     fill = _policy_fill(kind, K, state.mc_samples)
-    post = _PolicyDraws(None if fill is None else
+    post = _PolicyDraws(state, None if fill is None else
                         rng_streams.in_blocks(rng_pol, *fill, T).__next__)
     # a Thompson baseline's constants follow each fold
     refresh = post.refresh
@@ -503,7 +501,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
             if type(play) is int:
                 step = gap[play]
                 if env_noise is None:
-                    state.z[play] += 1.0
+                    state.z_f[play] += 1.0
                 else:
                     g0, g1 = env_noise()
                     refresh(play, *_fold_arm(
@@ -547,7 +545,7 @@ def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     ``rng`` if the round draws at all."""
     fill = _policy_fill(state.kind, state.n_arms, state.mc_samples)
     play = _choose(state, _PolicyDraws(
-        None if fill is None else lambda: fill[0](rng, 1)[0]))
+        state, None if fill is None else lambda: fill[0](rng, 1)[0]))
     if isinstance(play, np.ndarray):
         return PowerProfile(play)
     return PowerProfile.one_hot(state.n_arms, play)

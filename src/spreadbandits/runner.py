@@ -122,14 +122,14 @@ def _write_csv(path: str, outputs) -> str:
     and return the sha256 of the bytes written.  The columns are the tasks'
     :meth:`ReplicationOut.columns`, after ``policy`` and ``replication``.
 
-    A block is built column by column (:func:`_texts`), the ``t`` column
-    once for all the tasks that record the same rounds, and a row is one
-    ``",".join`` of its texts.  The rows of a block are joined, hashed and
-    written ``ROWS_PER_WRITE`` at a time, so neither the file nor a whole
-    block of it is held as text.
+    A block is built column by column (:func:`_texts`), reusing the last
+    task's texts of a column of the same dtype and bytes (so ``0.0`` and
+    ``-0.0`` stay apart), and a row is one ``",".join`` of its texts.  The
+    rows of a block are joined, hashed and written ``ROWS_PER_WRITE`` at a
+    time, so neither the file nor a whole block of it is held as text.
     """
     digest = hashlib.sha256()
-    t = t_texts = None
+    last = {}  # column name -> ((dtype, bytes), texts) of the last task
     with _replacing(path) as fh:
         def write(text):
             fh.write(text)
@@ -137,10 +137,12 @@ def _write_csv(path: str, outputs) -> str:
         write(",".join(["policy", "replication", *outputs[0].columns()])
               + "\n")
         for out in outputs:
-            if t is None or not np.array_equal(t, out.t):
-                t, t_texts = out.t, _texts(out.t)
-            cols = [t_texts if name == "t" else _texts(col)
-                    for name, col in out.columns().items()]
+            cols = []
+            for name, col in out.columns().items():
+                key = col.dtype, col.tobytes()
+                if name not in last or last[name][0] != key:
+                    last[name] = key, _texts(col)
+                cols.append(last[name][1])
             rows = map(",".join,
                        zip(repeat(f"{out.policy},{out.replication}"), *cols))
             for _ in range(0, len(out.t), ROWS_PER_WRITE):

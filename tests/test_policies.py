@@ -27,7 +27,8 @@ from spreadbandits.policies import (
     KINDS,
     TS_KNOWN_WARMUP_PASSES,
     TS_UNKNOWN_WARMUP_PASSES,
-    _first_max,
+    _choose,
+    _PolicyDraws,
 )
 
 
@@ -203,12 +204,23 @@ class SameDraws:
 
 
 @pytest.mark.parametrize("values", [
-    [1.0], [2.0, 2.0], [0.0, 3.0, 3.0, 1.0], [-1.0, -0.5, -0.5],
-    [1.0, np.nan, 5.0, np.nan], [np.nan, 2.0], [np.inf, 1.0, np.inf],
-    [-np.inf, -np.inf],
+    [1.0], [2.0, -2.0], [0.0, 3.0, -3.0, 1.0], [np.nan, 2.0, 5.0],
+    [1.0, np.nan, 5.0, np.nan], [np.nan, np.nan], [np.inf, 1.0, -np.inf],
+    [0.0, 0.0, 0.0],
 ])
 def test_first_max_is_argmax(values):
-    assert _first_max(values) == int(np.argmax(values))
+    # the ts_known chooser keeps the first largest norm, or the first NaN,
+    # as np.argmax does: constants (0, 0, 1) per arm and draws (v, 0) make
+    # arm k's norm values[k]^2, covering a tie, a NaN first and later, and
+    # +inf twice
+    K = len(values)
+    st = PolicyState("ts_known", K, sigma2=np.full(K, 2.0))
+    st.z[:] = 1.0
+    st.round = TS_KNOWN_WARMUP_PASSES * K + 1
+    draws = tuple(x for v in values for x in (v, 0.0))
+    post = _PolicyDraws(st, lambda: draws)
+    assert _choose(st, post) == int(np.argmax(np.square(values)))
+    assert post.consts == [(0.0, 0.0, 1.0)] * K
 
 
 class TestFixedBaselines:

@@ -371,6 +371,19 @@ class TestCsvWriter:
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert new.count(b",-0,") and new.count(b",0,")
 
+    def test_column_cache_keys_on_bytes(self, tmp_path):
+        # two tasks whose regret_step differ only in the sign of zero: a
+        # cache keyed on values would write the first task's texts twice
+        t = np.arange(1, 4, dtype=np.int64)
+        outs = [policies.ReplicationOut("uniform", rep, t, np.full(3, zero),
+                                        np.zeros(3), 0.0, {})
+                for rep, zero in enumerate([0.0, -0.0])]
+        runner_mod._write_csv(str(tmp_path / "z.csv"), outs)
+        lines = (tmp_path / "z.csv").read_text().splitlines()
+        assert lines[1:] == [f"uniform,{rep},{i},{text},0"
+                             for rep, text in enumerate(["0", "-0"])
+                             for i in (1, 2, 3)]
+
     def test_failed_write_leaves_old_file(self, tmp_path):
         outs = hand_built_outputs(False)
         path = tmp_path / "trace.csv"

@@ -279,8 +279,9 @@ def beta_hat_scaled(estimate):
 
 def latest_observation_only(fold):
     def corrupted(state, k, p, x0, x1):
-        fold(state, k, p, x0, x1)
+        z1, _, _, S1 = fold(state, k, p, x0, x1)
         state.mean[k] = x0, x1
+        return z1, x0, x1, S1
     return corrupted
 
 
@@ -316,3 +317,5 @@ def test_check_detects_its_defect(monkeypatch, results, name):
     # a check run alone at seed 0 draws the streams of the whole suite's run
     clean = next(r.observed for r in results if r.name == name)
     assert failing[0].observed != clean
+    # the check measured the defect rather than crashing on it
+    assert not failing[0].observed.startswith("raised")
