@@ -162,10 +162,18 @@ class PowerProfile:
 
     @classmethod
     def uniform(cls, K: int) -> "PowerProfile":
+        K = _count(K, "K", 1, InvalidProfile)
         return cls(np.full(K, 1.0 / K))
 
     @classmethod
     def one_hot(cls, K: int, k: int) -> "PowerProfile":
+        """All power on arm ``k`` of ``K``; by the count rule, a
+        non-integer raises InvalidParams and an arm outside ``[0, K)``
+        InvalidProfile."""
+        K = _count(K, "K", 1, InvalidProfile)
+        k = _count(k, "k", 0, InvalidProfile)
+        if k >= K:
+            raise InvalidProfile(f"k must be below K = {K}, got {k}")
         p = np.zeros(K)
         p[k] = 1.0
         return cls(p)

@@ -18,44 +18,47 @@ the weighted statistics of all arms in arrays (``z`` and ``S`` of shape
 * ``oracle`` - all power on the true best arm every round.
 * ``uniform`` - the flat profile every round.
 
-A round is :func:`_choose` (a power vector for ``wts`` and ``uniform``, an
-arm index for the one-hot kinds), the draw of its observations
+A round is its play (a power vector for ``wts`` and ``uniform``, an arm
+index for the one-hot kinds), the draw of its observations
 (:func:`_draw`), the fold (:func:`_fold_powers` or :func:`_fold_arm`) and
 its regret ``gaps @ p``; :func:`run_replication` plays the rounds of one
 replication of a :class:`spreadbandits.RunConfig` on the instance the
-config built, and returns the :class:`ReplicationOut` it fills.  On
-K-vectors numpy's fixed cost per call, about a microsecond, outweighs the
-arithmetic, so the loop keeps such calls out of the rounds where it can:
-a Thompson baseline takes its arms from one generator per replication
-(:func:`_ts_arms`), which samples in Python floats from per-arm posterior
-constants that each fold refreshes for the one arm it changes
-(:class:`_PolicyDraws`), a one-hot play draws and folds its one arm in
-floats, through the state's float views (:func:`_fold_arm`), and
-``uniform`` and the warm-up of ``wts`` play one read-only flat profile
-per K (:func:`_flat`).  In simulate mode nothing reads the statistics of
-a :data:`FIXED_PLAYS` kind, whose play only adds to ``z``: it draws and
-folds nothing.  The public :func:`policy_step`, :func:`sample_outcome` and
-:func:`observe` run the same functions one round at a time, validated: the
-play as a :class:`PowerProfile`, and the observations as one (K, 2) array
-whose row for an arm with zero power is NaN, checked once on the way in.
-A state is owned by exactly one simulation run.
+config built, and returns the :class:`ReplicationOut` it fills.  Every
+kind takes its plays from one callable, which :func:`_plays` builds once
+per replication: ``wts`` plays :func:`_wts_powers` of the state, a
+Thompson baseline the arms of one generator (:func:`_ts_arms`), and
+``oracle`` and ``uniform`` one repeated play.  On K-vectors numpy's fixed
+cost per call, about a microsecond, outweighs the arithmetic, so the loop
+keeps such calls out of the rounds where it can: the Thompson generator
+samples in Python floats from per-arm posterior constants it keeps to
+itself and builds again, after each play, for the one arm played, a
+one-hot play draws and folds its one arm in floats, through the state's
+float views (:func:`_fold_arm`), and ``uniform`` and the warm-up of
+``wts`` play one read-only flat profile per K (:func:`_flat`).  In
+simulate mode nothing reads the statistics of a :data:`FIXED_PLAYS` kind,
+whose play only adds to ``z``: it draws and folds nothing.  The public
+:func:`policy_step`, :func:`sample_outcome` and :func:`observe` run the
+same functions one round at a time, validated: the play as a
+:class:`PowerProfile`, and the observations as one (K, 2) array whose row
+for an arm with zero power is NaN, checked once on the way in.  A state
+is owned by exactly one simulation run.
 
 Every round of a kind takes the same draws from its streams, once past any
 warm-up.  :func:`_policy_fill` and :func:`_env_fill` draw ``rounds`` such
 rounds in one call, with the part of each draw that does not depend on the
 state already applied (the float32 ``1 - u`` and ``2 pi v`` of ``wts``, the
 radial ``-log(1 - u)`` and ``cos(2 pi v)`` of ``ts_unknown``); a one-hot
-fill holds a round's floats in one tuple, and no list per round.
-:func:`_choose` takes a kind's draws from one :class:`_PolicyDraws`, which
-it calls only in a round that draws: :func:`run_replication` makes one per
-replication over the ``__next__`` of a
-:func:`spreadbandits.rng.in_blocks` generator, and :func:`policy_step` a
-fresh one on every call over a fill of one round, so the public API takes
-from its generator exactly what one round takes and sees the statistics as
-they are.
+fill holds a round's floats in one tuple, and no list per round.  The
+play source reads the policy stream through a
+:func:`spreadbandits.rng.in_blocks` generator bounded at its ``rounds``:
+:func:`run_replication` builds one for the T rounds of a replication, and
+:func:`policy_step` a fresh one for one round on every call, so the public
+API takes from its generator exactly what one round takes and sees the
+statistics as they are.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -256,9 +259,9 @@ def _flat(K: int) -> np.ndarray:
     return PowerProfile.uniform(K).p
 
 
-def _wts_powers(state: PolicyState, post) -> np.ndarray:
-    """The WTS power vector of the current round; ``post.draws()`` gives
-    the round's kernel uniforms."""
+def _wts_powers(state: PolicyState, draws) -> np.ndarray:
+    """The WTS power vector of the current round; ``draws()`` gives the
+    round's kernel uniforms."""
     z, S = state.z, state.S
     K = z.shape[0]
     t = state.round
@@ -273,55 +276,24 @@ def _wts_powers(state: PolicyState, post) -> np.ndarray:
             f"arm {k} statistics degenerate at round {t} "
             f"(z={z[k]}, S={S[k]})")
     M = state.mc_samples
-    counts = _rho_counts(z, S, float(t), state.mean, M, post.draws())
+    counts = _rho_counts(z, S, float(t), state.mean, M, draws())
     q = np.maximum(counts / M, RHO_FLOOR / K)
     return q / np.add.reduce(q)
 
 
-class _PolicyDraws:
-    """A policy's draw source for :func:`_choose`: ``draws()`` gives a
-    round's draws of :func:`_policy_fill`, and ``draws`` is None for a kind
-    that draws nothing.  For the one-hot Thompson baselines ``arms`` is the
-    :func:`_ts_arms` generator of the arms they play, and None for any
-    other kind; ``consts`` holds per arm what changes only when the arm is
-    folded (``(xbar_x, xbar_y, sqrt(sigma2 / (2 n)))`` for ``ts_known``;
-    ``|xbar|^2`` for ``ts_unknown``, with ``S / n`` and ``n - 2`` in the
-    K-vectors ``scale`` and ``dof`` that :func:`_radial_t_d2` takes).
-    :func:`_ts_arms` makes them after the warm-up and :meth:`refresh`
-    remakes an arm's from what :func:`_fold_arm` returns, so a state
-    changed any other way needs a fresh instance."""
-
-    __slots__ = ("draws", "arms", "sigma2", "consts", "scale", "dof")
-
-    def __init__(self, state: PolicyState, draws):
-        self.draws = draws
-        self.consts = None
-        self.arms = (_ts_arms(state, self)
-                     if state.kind in (TS_KNOWN, TS_UNKNOWN) else None)
-
-    def refresh(self, k: int, n: float, mx: float, my: float,
-                S: float) -> None:
-        """Remake arm k's constants, once built, from its mean, scatter and
-        ``n`` one-hot observations (the whole ``z`` of folds at power 1)."""
-        if self.consts is None:
-            return
-        if self.sigma2 is not None:
-            self.consts[k] = mx, my, math.sqrt(self.sigma2[k] / (2.0 * n))
-        else:
-            # bivariate-t posterior of an arm with n one-hot observations
-            # is the weighted posterior at z = n, round index n + 1
-            self.consts[k] = mx * mx + my * my
-            self.scale[k] = S / n
-            self.dof[k] = n - 2.0
-
-
-def _ts_arms(state: PolicyState, post: _PolicyDraws):
+def _ts_arms(state: PolicyState, draws):
     """Yield the one-hot Thompson baseline's arm of each round: round-robin
     through the warm-up, then the first largest (the first NaN, if any, as
-    in ``np.argmax``) of one sampled norm per arm from the constants of
-    ``post``, built once.  A norm is numpy's to the bit: Python floats in
-    the order of the array expression it stands for (``xbar + scale * g``,
-    then ``dx * dx + dy * dy``; ``b2 + 2 sqrt(b2 d2) cos``, then ``+ d2``)."""
+    in ``np.argmax``) of one sampled norm per arm from one round of
+    ``draws()``.  The per-arm posterior constants are built once after the
+    warm-up, and after each yield again for the yielded arm alone, from
+    the state's float views: between two plays the engine folds only that
+    arm, at power 1, so its ``z`` is its observation count.  ``ts_unknown``
+    keeps ``b2 = |xbar|^2`` with ``b2 4^-e`` and ``2^e``, ``e`` half its
+    binary exponent, so ``sqrt(b2 d2)`` is taken exactly of a product that
+    cannot overflow.  A norm is numpy's to the bit: Python floats in the
+    order of the array expression it stands for (``xbar + scale * g``, then
+    ``dx * dx + dy * dy``; ``b2 + 2 sqrt(b2 d2) cos``, then ``+ d2``)."""
     K = state.n_arms
     known = state.kind == TS_KNOWN
     passes = TS_KNOWN_WARMUP_PASSES if known else TS_UNKNOWN_WARMUP_PASSES
@@ -331,13 +303,27 @@ def _ts_arms(state: PolicyState, post: _PolicyDraws):
     if np.minimum.reduce(n_obs) < passes:
         raise InsufficientData(f"{state.kind} needs every arm observed "
                                f"{'once' if known else 'three times'}")
-    post.sigma2 = state.sigma2.tolist() if known else None
-    consts = post.consts = [None] * K
-    scale, dof = post.scale, post.dof = np.empty(K), np.empty(K)
-    for k, (n, (mx, my), S) in enumerate(zip(
-            n_obs.tolist(), state.mean.tolist(), state.S.tolist())):
-        post.refresh(k, n, mx, my, S)
-    draws, sqrt, inf = post.draws, math.sqrt, math.inf
+    z, S, mean = state.z_f, state.S_f, state.mean_f
+    sigma2 = state.sigma2.tolist() if known else None
+    consts = [None] * K
+    scale, dof = np.empty(K), np.empty(K)
+    sqrt, frexp, ldexp, inf = math.sqrt, math.frexp, math.ldexp, math.inf
+
+    def build(k, n):
+        # arm k's constants after n one-hot observations; the bivariate-t
+        # posterior of such an arm is the weighted one at z = n, round n + 1
+        mx, my = mean[2 * k], mean[2 * k + 1]
+        if known:
+            consts[k] = mx, my, sqrt(sigma2[k] / (2.0 * n))
+        else:
+            b2 = mx * mx + my * my
+            half = frexp(b2)[1] >> 1
+            consts[k] = b2, ldexp(b2, -2 * half), ldexp(1.0, half)
+            scale[k] = S[k] / n
+            dof[k] = n - 2.0
+
+    for k, n in enumerate(n_obs.tolist()):
+        build(k, n)
     while True:
         best_k, best = 0, -inf
         if known:
@@ -355,32 +341,33 @@ def _ts_arms(state: PolicyState, post: _PolicyDraws):
         else:
             e, cos = draws()
             k = 0
-            for b2, c, d in zip(consts, cos,
-                                _radial_t_d2(e, scale, dof).tolist()):
-                v = b2 + 2.0 * sqrt(b2 * d) * c + d
+            for (b2, b2p, f), c, d in zip(
+                    consts, cos, _radial_t_d2(e, scale, dof).tolist()):
+                v = b2 + 2.0 * sqrt(b2p * d) * f * c + d
                 if not v <= best:
                     best_k, best = k, v
                     if v != v:
                         break
                 k += 1
         yield best_k
+        build(best_k, z[best_k])
 
 
-def _choose(state: PolicyState, post: _PolicyDraws):
-    """The current round's play: a power vector (``wts``, ``uniform``) or
-    the index of the arm that gets all the power (the one-hot kinds).
-
-    A round that draws takes one round of ``post.draws()``, and a round
-    that does not takes none.
-    """
-    kind = state.kind
-    if kind == WTS:
-        return _wts_powers(state, post)
-    if kind == ORACLE:
-        return state.k_star
-    if kind == UNIFORM:
-        return _flat(state.n_arms)
-    return next(post.arms)
+def _plays(state: PolicyState, rng: np.random.Generator, rounds: int):
+    """A callable giving the current round's play for the next ``rounds``
+    rounds: a power vector (``wts``, ``uniform``) or the index of the arm
+    that gets all the power (the one-hot kinds).  A round that draws takes
+    one round of :func:`_policy_fill` from ``rng``, read in blocks bounded
+    at ``rounds``; a round that does not takes none."""
+    K = state.n_arms
+    if state.kind in FIXED_PLAYS:
+        return itertools.repeat(state.k_star if state.kind == ORACLE
+                                else _flat(K)).__next__
+    draws = rng_streams.in_blocks(
+        rng, *_policy_fill(state.kind, K, state.mc_samples), rounds).__next__
+    if state.kind == WTS:
+        return functools.partial(_wts_powers, state, draws)
+    return _ts_arms(state, draws).__next__
 
 
 def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
@@ -397,10 +384,10 @@ def _fold_powers(state: PolicyState, p: np.ndarray, x: np.ndarray) -> None:
 
 
 def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
-              x1: float) -> tuple:
+              x1: float) -> None:
     """Fold one observation (x0, x1) at power ``p > 0`` into arm ``k``
     alone by :func:`_fold_powers`'s recurrence, in its order, in floats
-    through the state's views; returns its ``(z, xbar_x, xbar_y, S)``."""
+    through the state's views."""
     z, S, mean = state.z_f, state.S_f, state.mean_f
     i = 2 * k
     mx = mean[i]
@@ -411,12 +398,10 @@ def _fold_arm(state: PolicyState, k: int, p: float, x0: float,
     f = p / z1
     mx += f * dx
     my += f * dy
-    S1 = S[k] + p * (dx * (x0 - mx) + dy * (x1 - my))
-    S[k] = S1
+    S[k] += p * (dx * (x0 - mx) + dy * (x1 - my))
     mean[i] = mx
     mean[i + 1] = my
     z[k] = z1
-    return z1, mx, my, S1
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,11 +460,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
                                      rng_streams.ENV)
         env_noise = rng_streams.in_blocks(rng_env, *_env_fill(kind, K),
                                           T).__next__
-    fill = _policy_fill(kind, K, state.mc_samples)
-    post = _PolicyDraws(state, None if fill is None else
-                        rng_streams.in_blocks(rng_pol, *fill, T).__next__)
-    # a Thompson baseline's constants follow each fold
-    refresh = post.refresh
+    plays = _plays(state, rng_pol, T)
     thin = cfg.thin
     snap_at = {max(1, T // 10), T}
     means, variances, gaps = instance.means, instance.variances, instance.gaps
@@ -497,16 +478,15 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
     cum = 0.0
     for t in range(1, T + 1):
         try:
-            play = _choose(state, post)
+            play = plays()
             if type(play) is int:
                 step = gap[play]
                 if env_noise is None:
                     state.z_f[play] += 1.0
                 else:
                     g0, g1 = env_noise()
-                    refresh(play, *_fold_arm(
-                        state, play, 1.0, mean_x[play] + sd[play] * g0,
-                        mean_y[play] + sd[play] * g1))
+                    _fold_arm(state, play, 1.0, mean_x[play] + sd[play] * g0,
+                              mean_y[play] + sd[play] * g1)
             else:
                 step = flat_step if play is flat else float(gaps @ play)
                 if env_noise is None:
@@ -543,9 +523,7 @@ def run_replication(cfg, kind: str, replication: int) -> ReplicationOut:
 def policy_step(state: PolicyState, rng: np.random.Generator) -> PowerProfile:
     """The profile ``state.kind`` plays this round, drawing one round from
     ``rng`` if the round draws at all."""
-    fill = _policy_fill(state.kind, state.n_arms, state.mc_samples)
-    play = _choose(state, _PolicyDraws(
-        state, None if fill is None else lambda: fill[0](rng, 1)[0]))
+    play = _plays(state, rng, 1)()
     if isinstance(play, np.ndarray):
         return PowerProfile(play)
     return PowerProfile.one_hot(state.n_arms, play)

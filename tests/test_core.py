@@ -12,6 +12,7 @@ from spreadbandits import (
 from spreadbandits.errors import (
     DimensionMismatch,
     InsufficientData,
+    InvalidParams,
     InvalidProfile,
     NonPositiveVariance,
     TiedOptimum,
@@ -92,6 +93,25 @@ class TestPowerProfile:
     def test_one_hot(self):
         p = PowerProfile.one_hot(3, 1)
         assert p.p.tolist() == [0.0, 1.0, 0.0]
+        assert PowerProfile.one_hot(2.0, np.int64(1)).p.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("K,k,error", [
+        (4, -1, InvalidProfile), (4, 4, InvalidProfile),
+        (0, 0, InvalidProfile), (4, 1.5, InvalidParams),
+        (4, True, InvalidParams), (2.5, 0, InvalidParams),
+        (4, None, InvalidParams),
+    ])
+    def test_one_hot_arm_checked(self, K, k, error):
+        with pytest.raises(error, match="must be"):
+            PowerProfile.one_hot(K, k)
+
+    @pytest.mark.parametrize("K,error", [
+        (0, InvalidProfile), (-2, InvalidProfile), (1.5, InvalidParams),
+        (True, InvalidParams), ("4", InvalidParams),
+    ])
+    def test_uniform_count_checked(self, K, error):
+        with pytest.raises(error, match="K must be an integer >= 1"):
+            PowerProfile.uniform(K)
 
     def test_sum_violation_rejected(self):
         with pytest.raises(InvalidProfile):

@@ -4,8 +4,13 @@ The engine must reproduce ``engine_reference.reference_replication``'s
 recorded columns, power snapshots and final regret exactly, for every
 policy kind, in both run modes; its folds must equal the scalar fold bit
 for bit, and the WTS kernel the reference kernel draw for draw.  The
-block-read streams are checked in ``tests/test_blocks.py``.
+block-read streams are checked in ``tests/test_blocks.py``.  Scaled to
+``(2^j means, 4^j variances)``, an instance must play the same rounds with
+every regret step ``2^j`` times larger.
 """
+
+import functools
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +18,8 @@ import pytest
 from spreadbandits import (
     KINDS,
     PowerProfile,
+    RunConfig,
+    load_config,
     make_policy,
     new_instance,
     observe,
@@ -163,3 +170,64 @@ def test_observe_matches_scalar_reference(p):
         for k, a in enumerate(ref):
             a.update(prof.p[k], out[k])
     _assert_same_bits(st, ref)
+
+
+# the acceptance regret study's instance, whose top gap is 0.65
+STUDY = RunConfig(
+    mode="simulate", T=500, policies=KINDS, mc_samples=256,
+    means=np.array([[0.8, 0.0], [0.15, 0.0], [0.0, 0.10], [-0.05, 0.0],
+                    [0.0, 0.0]]),
+    variances=np.array([0.25, 0.4225, 0.49, 0.5625, 0.64]))
+# configs/gain.cfg's problem, whose top gap is 0.073
+GAIN = load_config(pathlib.Path(__file__).parents[1] / "configs"
+                   / "gain.cfg").replaced(T=500, mc_samples=256, thin=1)
+
+
+def scaled(cfg, j):
+    """``cfg`` with its means scaled by 2^j and its variances by 4^j."""
+    if cfg.mode == "simulate":
+        return cfg.replaced(means=np.ldexp(cfg.means, j),
+                            variances=np.ldexp(cfg.variances, 2 * j))
+    return cfg.replaced(g_coeffs=np.ldexp(cfg.g_coeffs, j),
+                        h_coeffs=np.ldexp(cfg.h_coeffs, j))
+
+
+@functools.cache
+def unscaled(mode, kind):
+    return run_replication(STUDY if mode == "simulate" else GAIN, kind, 0)
+
+
+def scale_cases(mode, js):
+    return [pytest.param(mode, j, kind) for j in js for kind in KINDS]
+
+
+def known_failure(j, kind, raises, reason):
+    return pytest.param("simulate", j, kind, marks=pytest.mark.xfail(
+        strict=True, raises=raises, reason=reason))
+
+
+# from j = -40 (simulate) and -37 (gain) on, the top gap falls below
+# NORM_TIE_TOL, and the instance is refused as tied
+@pytest.mark.parametrize("mode,j,kind", [
+    *scale_cases("simulate", (-39, -1, 1, 64, 256, 258, 480)),
+    *scale_cases("gain", (-35, -1, 1, 64, 256, 258, 480)),
+    known_failure(500, "wts", RuntimeWarning,
+                  "the scatter update of _fold_powers overflows"),
+    known_failure(510, "ts_unknown", AssertionError,
+                  "the scatter S of arm 0 overflows to inf by round 98"),
+])
+def test_play_is_exact_under_scale(mode, j, kind):
+    # every observation is exactly 2^j times the unscaled one, so every
+    # fold is exact and each kind chooses the same plays
+    want = unscaled(mode, kind)
+    cfg = scaled(STUDY if mode == "simulate" else GAIN, j)
+    got = run_replication(cfg, kind, 0)
+    assert np.ldexp(got.regret_step, -j).tobytes() == \
+        want.regret_step.tobytes()
+    assert got.z_snapshots.keys() == want.z_snapshots.keys()
+    for t, z in want.z_snapshots.items():
+        assert got.z_snapshots[t].tobytes() == z.tobytes(), t
+    if mode == "gain":
+        assert np.ldexp(got.beta_hat, -j).tobytes() == \
+            want.beta_hat.tobytes()
+        assert got.k_hat.tolist() == want.k_hat.tolist()

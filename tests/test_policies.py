@@ -27,8 +27,7 @@ from spreadbandits.policies import (
     KINDS,
     TS_KNOWN_WARMUP_PASSES,
     TS_UNKNOWN_WARMUP_PASSES,
-    _choose,
-    _PolicyDraws,
+    _plays,
 )
 
 
@@ -217,10 +216,19 @@ def test_first_max_is_argmax(values):
     st = PolicyState("ts_known", K, sigma2=np.full(K, 2.0))
     st.z[:] = 1.0
     st.round = TS_KNOWN_WARMUP_PASSES * K + 1
-    draws = tuple(x for v in values for x in (v, 0.0))
-    post = _PolicyDraws(st, lambda: draws)
-    assert _choose(st, post) == int(np.argmax(np.square(values)))
-    assert post.consts == [(0.0, 0.0, 1.0)] * K
+    draws = [x for v in values for x in (v, 0.0)]
+    assert _plays(st, FixedNormals(draws), 1)() == int(
+        np.argmax(np.square(values)))
+
+
+class FixedNormals:
+    """A generator stand-in whose standard normals are ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def normal(self, size):
+        return np.reshape(self.values, size)
 
 
 class TestFixedBaselines:

@@ -214,15 +214,19 @@ class TestReplication:
         assert out.t[-1] == 40
 
     def test_error_context(self, tmp_path, monkeypatch):
-        real = policies._choose
+        real = policies._plays
 
-        def boom(state, rng):
-            if state.round == 3:
-                raise InsufficientData("stub failure")
-            return real(state, rng)
+        def boom(state, rng, rounds):
+            play = real(state, rng, rounds)
+
+            def failing():
+                if state.round == 3:
+                    raise InsufficientData("stub failure")
+                return play()
+            return failing
 
         cfg = sim_config(tmp_path, policies=("uniform",))
-        monkeypatch.setattr(policies, "_choose", boom)
+        monkeypatch.setattr(policies, "_plays", boom)
         with pytest.raises(InsufficientData) as exc:
             run_replication(cfg, "uniform", 0)
         msg = str(exc.value)

@@ -237,10 +237,10 @@ def test_wts_checks_detect_missing_floor(monkeypatch):
 
 def test_one_hot_check_detects_spread_baselines(monkeypatch):
     # the round loop plays the uniform vector for both TS baselines
-    real = policies._choose
-    monkeypatch.setattr(policies, "_choose", lambda state, noise: (
-        np.full(2, 0.5) if state.kind in ("ts_known", "ts_unknown")
-        else real(state, noise)))
+    real = policies._plays
+    monkeypatch.setattr(policies, "_plays", lambda state, rng, rounds: (
+        (lambda: np.full(2, 0.5)) if state.kind in ("ts_known", "ts_unknown")
+        else real(state, rng, rounds)))
     assert failing_names(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
     assert one_hot_report() == (
@@ -249,10 +249,10 @@ def test_one_hot_check_detects_spread_baselines(monkeypatch):
 
 
 def test_one_hot_check_detects_oracle_off_the_best_arm(monkeypatch):
-    # the oracle's play comes from _choose, not from the instance's k_star
-    real = policies._choose
-    monkeypatch.setattr(policies, "_choose", lambda state, noise: (
-        1 if state.kind == "oracle" else real(state, noise)))
+    # the oracle's play comes from _plays, not from the instance's k_star
+    real = policies._plays
+    monkeypatch.setattr(policies, "_plays", lambda state, rng, rounds: (
+        (lambda: 1) if state.kind == "oracle" else real(state, rng, rounds)))
     assert failing_names(monkeypatch, "one-hot-baselines") == (
         "one-hot-baselines",)
     assert one_hot_report() == (
@@ -279,9 +279,8 @@ def beta_hat_scaled(estimate):
 
 def latest_observation_only(fold):
     def corrupted(state, k, p, x0, x1):
-        z1, _, _, S1 = fold(state, k, p, x0, x1)
+        fold(state, k, p, x0, x1)
         state.mean[k] = x0, x1
-        return z1, x0, x1, S1
     return corrupted
 
 
